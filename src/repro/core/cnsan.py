@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core import protocol
-from repro.core.dataset import CertProfile, ProfileStore
-from repro.core.enrich import EnrichedConn, EnrichedDataset
+from repro.core.dataset import CertProfile
+from repro.core.enrich import EnrichedDataset
 from repro.core.report import Table, percentage
 from repro.text.domains import is_domain_like
 from repro.text.ner import EntityLabel, NerClassifier
@@ -486,29 +486,7 @@ def render_unidentified_breakdown(rows: list[UnidentifiedBreakdown]) -> Table:
 # ---------------------------------------------------------------------------
 
 
-class PopulationPartial(protocol.AnalysisPartial):
-    """Base for §6 analyses: rebuild the certificate-profile population
-    shard by shard, then select and count at finalize time.
-
-    Subclasses set ``selector`` (profiles dict → population list) and
-    override :meth:`result` / :meth:`finalize`.
-    """
-
-    def __init__(self, context: protocol.AnalysisContext) -> None:
-        self._bundle = context.bundle
-        self.store = ProfileStore()
-
-    def update(self, conn: EnrichedConn) -> None:
-        self.store.observe(conn.view)
-
-    def merge(self, other: "PopulationPartial") -> None:
-        self.store.merge(other.store)
-
-    def population(self) -> list[CertProfile]:
-        raise NotImplementedError
-
-
-class Table7Partial(PopulationPartial):
+class Table7Partial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_mutual(self.store.profiles)
 
@@ -521,7 +499,7 @@ class Table7Partial(PopulationPartial):
         )
 
 
-class Table8Partial(PopulationPartial):
+class Table8Partial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_mutual(self.store.profiles)
 
@@ -536,7 +514,7 @@ class Table8Partial(PopulationPartial):
         )
 
 
-class Table9Partial(PopulationPartial):
+class Table9Partial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_mutual(self.store.profiles)
 
@@ -547,7 +525,7 @@ class Table9Partial(PopulationPartial):
         return render_unidentified_breakdown(self.result())
 
 
-class Table13aPartial(PopulationPartial):
+class Table13aPartial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_shared(self.store.profiles)
 
@@ -560,7 +538,7 @@ class Table13aPartial(PopulationPartial):
         )
 
 
-class Table13bPartial(PopulationPartial):
+class Table13bPartial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_shared(self.store.profiles)
 
@@ -575,7 +553,7 @@ class Table13bPartial(PopulationPartial):
         )
 
 
-class Table14aPartial(PopulationPartial):
+class Table14aPartial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_non_mutual_server(self.store.profiles)
 
@@ -588,7 +566,7 @@ class Table14aPartial(PopulationPartial):
         )
 
 
-class Table14bPartial(PopulationPartial):
+class Table14bPartial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_non_mutual_server(self.store.profiles)
 
@@ -603,7 +581,7 @@ class Table14bPartial(PopulationPartial):
         )
 
 
-class SanTypesPartial(PopulationPartial):
+class SanTypesPartial(protocol.PopulationPartial):
     def population(self) -> list[CertProfile]:
         return _select_used_in_mutual(self.store.profiles)
 

@@ -6,6 +6,7 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from repro.core.addresses import subnet24
 from repro.zeek import SslRecord, X509Record
 from repro.zeek.builder import ZeekLogs
 
@@ -101,10 +102,11 @@ class ProfileStore:
     """Incremental, mergeable builder of :class:`CertProfile` aggregates.
 
     Used both by :meth:`MtlsDataset.certificate_profiles` (one pass over
-    the whole dataset) and by the analysis partials that rebuild the
-    profile population shard by shard. Merging stores built from a
-    chronological shard split reproduces the whole-stream profile dict,
-    including its first-occurrence insertion order.
+    the whole dataset) and by the population partials that rebuild the
+    profile population shard by shard (see
+    :class:`repro.core.protocol.PopulationPartial`). Merging stores built
+    from a chronological shard split reproduces the whole-stream profile
+    dict, including its first-occurrence insertion order.
     """
 
     def __init__(self) -> None:
@@ -118,8 +120,6 @@ class ProfileStore:
         return existing
 
     def observe(self, conn: "ConnView") -> None:
-        from repro.netsim.network import subnet24
-
         mutual = conn.is_mutual
         if conn.server_leaf is not None:
             profile = self._profile_for(conn.server_leaf)

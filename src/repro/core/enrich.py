@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
+from repro.core import addresses
 from repro.core.dataset import CertProfile, ConnView, MtlsDataset
-from repro.netsim.network import AddressSpace
 from repro.text.domains import extract_domain
 from repro.trust import TrustBundle
 from repro.x509.facts import CertFactCache, CertFacts
@@ -107,10 +107,15 @@ class EnrichedDataset:
 
     dataset: MtlsDataset
     connections: list[EnrichedConn]
-    profiles: dict[str, CertProfile]
     bundle: TrustBundle
     interception: InterceptionReport
     rules: AssociationRules
+
+    @property
+    def profiles(self) -> dict[str, CertProfile]:
+        """Unique leaf certificates of the (filtered) dataset, built on
+        first use and cached by the dataset."""
+        return self.dataset.certificate_profiles()
 
     @property
     def mutual(self) -> list[EnrichedConn]:
@@ -284,7 +289,7 @@ class Enricher:
     ) -> None:
         self.bundle = bundle
         self.ct_log = ct_log
-        self.is_internal = is_internal or AddressSpace().is_internal
+        self.is_internal = is_internal or addresses.is_internal
         self.rules = rules or AssociationRules()
         self.filter_interception = filter_interception
         #: Stand-in for the paper's manual investigation step: an issuer
@@ -319,7 +324,6 @@ class Enricher:
         return EnrichedDataset(
             dataset=dataset,
             connections=connections,
-            profiles=dataset.certificate_profiles(),
             bundle=self.bundle,
             interception=report,
             rules=self.rules,

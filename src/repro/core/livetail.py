@@ -52,9 +52,10 @@ from repro.core.locks import FileLock, LockTimeout
 from repro.core.enrich import AssociationRules, Enricher
 from repro.core.protocol import (
     AnalysisContext,
+    analysis_names,
     create_partials,
-    get_analysis,
     load_default_analyses,
+    update_partials,
 )
 from repro.core.streaming import StreamingAnalyzer, load_checkpoint_json
 from repro.trust import TrustBundle
@@ -582,14 +583,11 @@ class LiveAnalysisEngine:
         self.metrics = self.analyzer.metrics
         self.enricher = self._make_enricher(rules, min_interception_domains)
         self.context = AnalysisContext(bundle=bundle, rules=self.enricher.rules)
-        self.partials = create_partials(None, self.context)
-        self._raw_names = frozenset(
-            name for name in self.partials if get_analysis(name).needs_raw
-        )
+        self.admission = admission or AdmissionController()
+        self.partials = self._new_partials()
         self.scan = self.enricher.new_scan()
         self.ssl_report = IngestReport()
         self.x509_report = IngestReport()
-        self.admission = admission or AdmissionController()
         self._rebind_tables()
 
     def _make_enricher(
@@ -605,22 +603,24 @@ class LiveAnalysisEngine:
             fact_cache=cache if cache is not None else False,
         )
 
+    def _new_partials(self) -> dict:
+        """Every registry partial, the hot and the cold admission group
+        each from its own ``create_partials`` call: a sampled table must
+        never share a profile store with an exact one."""
+        hot = set(self.admission.hot_tables)
+        names = analysis_names()
+        partials = {
+            **create_partials([n for n in names if n in hot], self.context),
+            **create_partials([n for n in names if n not in hot], self.context),
+        }
+        return {name: partials[name] for name in names}
+
     def _rebind_tables(self) -> None:
-        self._hot = tuple(
-            n for n in self.admission.hot_tables if n in self.partials
-        )
-        hot = set(self._hot)
-        self._cold = tuple(n for n in self.partials if n not in hot)
-        self._all = tuple(self.partials)
+        hot = set(self.admission.hot_tables)
+        self._hot = {n: p for n, p in self.partials.items() if n in hot}
+        self._cold = {n: p for n, p in self.partials.items() if n not in hot}
 
     # ------------------------------------------------------------------ feeding
-
-    def _update(self, names: Iterable[str], view: ConnView, enriched) -> None:
-        for name in names:
-            partial = self.partials[name]
-            partial.update(enriched)
-            if name in self._raw_names:
-                partial.update_raw(view)
 
     def feed(
         self, ssl_records: list[SslRecord], x509_records: list
@@ -637,6 +637,8 @@ class LiveAnalysisEngine:
             self._fold_window()
         self.analyzer.add_ssl(ssl_records)
         sampling = self.admission.sampling
+        views = []
+        labelled = []
         for row in established:
             view = ConnView(
                 ssl=row,
@@ -645,18 +647,17 @@ class LiveAnalysisEngine:
             )
             self.scan.observe(view)
             enriched = self.enricher.label(view)
+            views.append(view)
+            labelled.append(enriched)
             if sampling:
-                self._update(self._cold, view, enriched)
                 self.admission.offer((view, enriched))
-            else:
-                self._update(self._all, view, enriched)
+        update_partials(self._cold if sampling else self.partials, labelled, views)
         if sampling:
             self.metrics.inc("livetail.admission.deferred", len(established))
 
     def _fold_window(self) -> None:
         folded = self.admission.close_window()
-        for view, enriched in folded:
-            self._update(self._hot, view, enriched)
+        _update_pairs(self._hot, folded)
         self.metrics.inc("livetail.admission.folded", len(folded))
 
     # ------------------------------------------------------------------ queries
@@ -678,15 +679,8 @@ class LiveAnalysisEngine:
             inter.report = self.interception_report()
         overlay: dict = {}
         if self.admission.sampling and self.admission.reservoir:
-            copies = pickle.loads(
-                pickle.dumps({n: self.partials[n] for n in self._hot})
-            )
-            for view, enriched in self.admission.reservoir:
-                for name, partial in copies.items():
-                    partial.update(enriched)
-                    if name in self._raw_names:
-                        partial.update_raw(view)
-            overlay = copies
+            overlay = pickle.loads(pickle.dumps(self._hot))
+            _update_pairs(overlay, self.admission.reservoir)
         out: dict[str, dict] = {}
         for name in self.partials:
             partial = overlay.get(name, self.partials[name])
@@ -778,19 +772,23 @@ class LiveAnalysisEngine:
         engine.context = AnalysisContext(
             bundle=bundle, rules=engine.enricher.rules
         )
-        engine.partials = create_partials(None, engine.context)
-        engine._raw_names = frozenset(
-            name for name in engine.partials if get_analysis(name).needs_raw
-        )
+        engine.admission = admission or AdmissionController()
+        engine.partials = engine._new_partials()
         engine.scan = engine.enricher.new_scan()
         engine.ssl_report = IngestReport()
         engine.x509_report = IngestReport()
-        engine.admission = admission or AdmissionController()
         extra = document.get(LIVETAIL_STATE_KEY)
         if extra is not None:
             engine.load_extra(extra)
         engine._rebind_tables()
         return engine
+
+
+def _update_pairs(partials: dict, pairs: list) -> None:
+    """Fold admitted ``(view, enriched)`` reservoir pairs into partials."""
+    update_partials(
+        partials, [enriched for _, enriched in pairs], [view for view, _ in pairs]
+    )
 
 
 class LiveTailDaemon:

@@ -357,13 +357,13 @@ def _pipelined_analysis(
     the stream was out of ts order — the shard is then cached in its
     rebuilt (sorted) form and the caller reruns the serial body over it.
 
-    Per-batch interleaving of ``update`` and ``update_raw`` is safe
-    because no registered analysis consumes both streams (pinned by
-    tests/core/test_pipeline.py): each partial sees its own stream in
-    exactly the serial order. Deliberately emits no ``pipeline.*``
-    counters: phase B only streams on a cache miss, which depends on
-    worker placement, and analyze counters must stay deterministic
-    across job counts.
+    Per-batch ``update_partials`` calls interleave ``update`` and
+    ``update_raw``; that is safe because no registered analysis consumes
+    both streams (pinned by tests/core/test_pipeline.py): each partial
+    sees its own stream in exactly the serial order. Deliberately emits
+    no ``pipeline.*`` counters: phase B only streams on a cache miss,
+    which depends on worker placement, and analyze counters must stay
+    deterministic across job counts.
     """
     with tracing.span("shard.stream", month=month):
         stream = _ShardStream(config, month)
@@ -372,11 +372,6 @@ def _pipelined_analysis(
             bundle=config.bundle, rules=config.rules, interception=report,
         )
         partials = protocol.create_partials(config.names, context)
-        updaters = list(partials.values())
-        raw_updaters = [
-            partials[name] for name in partials
-            if protocol.get_analysis(name).needs_raw
-        ]
         excluded_fuids: set[str] = set()
         if config.filter_interception and report.excluded_fingerprints:
             excluded_fuids = stream.dataset.fuids_of(
@@ -385,22 +380,17 @@ def _pipelined_analysis(
         label = enricher.label
         enriched_count = 0
         for conns in stream.connections():
-            for conn in conns:
-                if excluded_fuids and not (
+            enriched = [
+                label(conn) for conn in conns
+                if not excluded_fuids or (
                     excluded_fuids.isdisjoint(conn.ssl.cert_chain_fuids)
                     and excluded_fuids.isdisjoint(
                         conn.ssl.client_cert_chain_fuids
                     )
-                ):
-                    continue
-                enriched = label(conn)
-                for partial in updaters:
-                    partial.update(enriched)
-                enriched_count += 1
-            if raw_updaters:
-                for conn in conns:
-                    for partial in raw_updaters:
-                        partial.update_raw(conn)
+                )
+            ]
+            protocol.update_partials(partials, enriched, conns)
+            enriched_count += len(enriched)
     cache[month] = stream.triple()
     if not stream.ordered:
         return None

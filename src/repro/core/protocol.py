@@ -19,6 +19,12 @@ one driver — sequential or sharded — run *every* analysis:
 - **drivers** — :func:`run_analyses` (one pass over a dataset updating
   every requested partial) and :func:`feed` (one partial over one
   dataset, the shape of the legacy compatibility wrappers).
+- :class:`PopulationPartial` — the analyses that select from the
+  certificate-profile population at finalize. A set built by
+  :func:`create_partials` shares one :class:`ProfileStore` among them;
+  :func:`update_partials` observes it once per connection and
+  :func:`merge_partials` merges it once. A partial built standalone by
+  its factory keeps a private store.
 
 Partials must be deterministic independent of update/merge order: any
 shard split of the same connection stream, merged in any order, must
@@ -32,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
+from repro.core.dataset import ProfileStore
 from repro.core.enrich import AssociationRules, InterceptionReport
 from repro.core.report import Table
 from repro.trust import TrustBundle
@@ -91,6 +98,27 @@ class AnalysisPartial:
     def finalize(self) -> Table:
         """Render the result as the paper's table/figure."""
         raise NotImplementedError
+
+
+class PopulationPartial(AnalysisPartial):
+    """Base for the analyses over the certificate-profile population
+    (Tables 6-9, 13, 14 and the SAN-type count): build the population
+    shard by shard, then select and count at finalize time.
+
+    Subclasses override :meth:`result` / :meth:`finalize` and read
+    ``store.profiles``; the drivers may swap ``store`` for one shared
+    by every population partial of a set.
+    """
+
+    def __init__(self, context: AnalysisContext) -> None:
+        self._bundle = context.bundle
+        self.store = ProfileStore()
+
+    def update(self, conn: "EnrichedConn") -> None:
+        self.store.observe(conn.view)
+
+    def merge(self, other: "PopulationPartial") -> None:
+        self.store.merge(other.store)
 
 
 @dataclass(frozen=True)
@@ -178,9 +206,29 @@ def iter_analyses() -> Iterable[Analysis]:
 def create_partials(
     names: Iterable[str] | None, context: AnalysisContext
 ) -> dict[str, AnalysisPartial]:
-    """Fresh (empty) partials for the requested analyses."""
+    """Fresh (empty) partials for the requested analyses; the
+    population partials among them share one profile store."""
     selected = tuple(names) if names is not None else analysis_names()
-    return {name: get_analysis(name).factory(context) for name in selected}
+    partials = {name: get_analysis(name).factory(context) for name in selected}
+    store = ProfileStore()
+    for partial in partials.values():
+        if isinstance(partial, PopulationPartial):
+            partial.store = store
+    return partials
+
+
+def _store_repeats(partials: Mapping[str, AnalysisPartial]) -> set[str]:
+    """Names of the population partials whose store an earlier partial
+    of the set already holds: updating or merging the first holder
+    covers them."""
+    seen: set[int] = set()
+    repeats: set[str] = set()
+    for name, partial in partials.items():
+        if isinstance(partial, PopulationPartial):
+            if id(partial.store) in seen:
+                repeats.add(name)
+            seen.add(id(partial.store))
+    return repeats
 
 
 def update_partials(
@@ -188,8 +236,10 @@ def update_partials(
     connections: Iterable["EnrichedConn"],
     raw_views: Iterable["ConnView"] = (),
 ) -> None:
-    """One pass over the streams, updating every partial."""
-    updaters = list(partials.values())
+    """One pass over the streams, updating every partial (a shared
+    profile store once per connection)."""
+    repeats = _store_repeats(partials)
+    updaters = [p for name, p in partials.items() if name not in repeats]
     for conn in connections:
         for partial in updaters:
             partial.update(conn)
@@ -225,9 +275,17 @@ def run_analyses(
 def merge_partials(
     into: dict[str, AnalysisPartial], other: Mapping[str, AnalysisPartial]
 ) -> dict[str, AnalysisPartial]:
-    """Merge a shard's partials into the running aggregate (in place)."""
+    """Merge a shard's partials into the running aggregate (in place).
+
+    Each distinct store of ``into`` takes one merge. Any of ``other``'s
+    population partials is a valid source: they were all fed the same
+    connections, whether they share a store or (standalone-built, or
+    restored from state written before stores were shared) each own one.
+    """
+    repeats = _store_repeats(into)
     for name, partial in other.items():
-        into[name].merge(partial)
+        if name not in repeats:
+            into[name].merge(partial)
     return into
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import math
 
 from repro.core import protocol
-from repro.core.dataset import ProfileStore
 from repro.core.enrich import EnrichedConn, EnrichedDataset
 from repro.core.report import Table
 from repro.text.domains import extract_domain
@@ -189,17 +188,8 @@ def _subnet_spread(profiles: dict) -> SubnetSpread:
     )
 
 
-class Table6Partial(protocol.AnalysisPartial):
+class Table6Partial(protocol.PopulationPartial):
     """Subnet spread of shared-role certificates (Table 6)."""
-
-    def __init__(self, context: protocol.AnalysisContext) -> None:
-        self.store = ProfileStore()
-
-    def update(self, conn: EnrichedConn) -> None:
-        self.store.observe(conn.view)
-
-    def merge(self, other: "Table6Partial") -> None:
-        self.store.merge(other.store)
 
     def result(self) -> SubnetSpread:
         return _subnet_spread(self.store.profiles)

@@ -5,13 +5,9 @@ from __future__ import annotations
 import ipaddress
 import random
 
-#: University-owned prefixes (internal). The health system has its own
-#: prefix, mirroring the paper's distinct 'University Health' servers.
-INTERNAL_PREFIXES = (
-    ipaddress.ip_network("10.16.0.0/16"),   # general campus
-    ipaddress.ip_network("10.32.0.0/16"),   # health system
-    ipaddress.ip_network("10.48.0.0/16"),   # residential / NAT pools
-)
+# The address math lives in the analysis core; ``subnet24`` is
+# re-exported for callers that import it from the simulator.
+from repro.core.addresses import INTERNAL_PREFIXES, is_internal, subnet24  # noqa: F401
 
 #: External (rest of the Internet) pool used for simulated peers.
 EXTERNAL_PREFIX = ipaddress.ip_network("198.18.0.0/15")
@@ -27,8 +23,7 @@ class AddressSpace:
         self._assigned: dict[str, str] = {}
 
     def is_internal(self, ip: str) -> bool:
-        address = ipaddress.ip_address(ip)
-        return any(address in prefix for prefix in INTERNAL_PREFIXES)
+        return is_internal(ip)
 
     def internal_ip(self, key: str, prefix_index: int = 0) -> str:
         """Stable internal address for a logical entity key."""
@@ -51,13 +46,3 @@ class AddressSpace:
 
     def ephemeral_port(self) -> int:
         return self._rng.randint(32768, 60999)
-
-
-def subnet24(ip: str) -> str:
-    """The /24 prefix of an address (Table 6's sharing granularity)."""
-    address = ipaddress.ip_address(ip)
-    if address.version == 4:
-        network = ipaddress.ip_network(f"{ip}/24", strict=False)
-        return str(network)
-    network = ipaddress.ip_network(f"{ip}/56", strict=False)
-    return str(network)

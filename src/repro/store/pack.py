@@ -37,7 +37,7 @@ from repro.store.source import (
     store_lock,
 )
 from repro.zeek.files import TsvDirectorySource
-from repro.zeek.ingest import IngestOptions
+from repro.zeek.ingest import IngestOptions, IngestReport
 
 __all__ = [
     "STORE_FORMAT",
@@ -53,6 +53,28 @@ MANIFEST_NAME = "manifest.json"
 def _file_meta(payload: bytes) -> dict:
     """The integrity fields the v2 manifest records per column file."""
     return {"bytes": len(payload), "crc32": zlib.crc32(payload)}
+
+
+def _pack_x509(store_dir: Path, records: list, report: IngestReport) -> dict:
+    """Write the x509 stream split by calendar month, so large stores
+    stay granular; returns its manifest entry."""
+    partitions: dict[str, list] = {}
+    for record in records:
+        partitions.setdefault(month_of(record.ts), []).append(record)
+    files = []
+    for cert_month in sorted(partitions):
+        cert_file = f"x509-{cert_month}.col"
+        cert_payload = pack_table("x509", partitions[cert_month])
+        durable_write(store_dir / cert_file, cert_payload)
+        files.append(
+            {
+                "month": cert_month,
+                "file": cert_file,
+                "rows": len(partitions[cert_month]),
+                **_file_meta(cert_payload),
+            }
+        )
+    return {"files": files, "rows": len(records), "report": report.to_dict()}
 
 
 def pack_archive(
@@ -83,41 +105,24 @@ def pack_archive(
         ssl_shards: dict[str, dict] = {}
         x509_meta: dict | None = None
         for month in source.months():
-            shard = source.read_month(month, opts)
+            if x509_meta is None:
+                # The x509 stream (and its report) is identical for every
+                # shard — it is broadcast, not partitioned — so only the
+                # first month decodes it.
+                shard = source.read_month(month, opts)
+                ssl, ssl_report = shard.ssl, shard.ssl_report
+                x509_meta = _pack_x509(store_dir, shard.x509, shard.x509_report)
+            else:
+                ssl, ssl_report = source.read_ssl(month, opts)
             filename = f"ssl-{month}.col"
-            payload = pack_table("ssl", shard.ssl)
+            payload = pack_table("ssl", ssl)
             durable_write(store_dir / filename, payload)
             ssl_shards[month] = {
                 "file": filename,
-                "rows": len(shard.ssl),
-                "report": shard.ssl_report.to_dict(),
+                "rows": len(ssl),
+                "report": ssl_report.to_dict(),
                 **_file_meta(payload),
             }
-            if x509_meta is None:
-                # The x509 stream (and its report) is identical for every
-                # shard — it is broadcast, not partitioned. Pack it once,
-                # split by calendar month so large stores stay granular.
-                partitions: dict[str, list] = {}
-                for record in shard.x509:
-                    partitions.setdefault(month_of(record.ts), []).append(record)
-                files = []
-                for cert_month in sorted(partitions):
-                    cert_file = f"x509-{cert_month}.col"
-                    cert_payload = pack_table("x509", partitions[cert_month])
-                    durable_write(store_dir / cert_file, cert_payload)
-                    files.append(
-                        {
-                            "month": cert_month,
-                            "file": cert_file,
-                            "rows": len(partitions[cert_month]),
-                            **_file_meta(cert_payload),
-                        }
-                    )
-                x509_meta = {
-                    "files": files,
-                    "rows": len(shard.x509),
-                    "report": shard.x509_report.to_dict(),
-                }
         if x509_meta is None:
             x509_meta = {"files": [], "rows": 0, "report": None}
 

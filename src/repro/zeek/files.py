@@ -242,17 +242,26 @@ class TsvDirectorySource:
         known = ", ".join(self.months())
         raise KeyError(f"no shard for month {month!r} (have: {known})")
 
-    def read_month(self, month: str, options: IngestOptions) -> ShardRecords:
-        ssl_paths, x509_paths = self._shard_paths(month)
+    def read_ssl(
+        self, month: str, options: IngestOptions
+    ) -> tuple[list[SslRecord], IngestReport]:
+        """One shard's ssl records and their report: :meth:`read_month`
+        without decoding the broadcast x509 stream again."""
+        ssl_paths, _ = self._shard_paths(month)
         ssl_report = IngestReport()
-        x509_report = IngestReport()
         ssl = _read_many(
             [Path(p) for p in ssl_paths], read_ssl_log, options, ssl_report
         )
+        ssl.sort(key=lambda r: r.ts)
+        return ssl, ssl_report
+
+    def read_month(self, month: str, options: IngestOptions) -> ShardRecords:
+        ssl, ssl_report = self.read_ssl(month, options)
+        _, x509_paths = self._shard_paths(month)
+        x509_report = IngestReport()
         x509 = _read_many(
             [Path(p) for p in x509_paths], read_x509_log, options, x509_report
         )
-        ssl.sort(key=lambda r: r.ts)
         x509.sort(key=lambda r: r.ts)
         return ShardRecords(
             month=month, ssl=ssl, x509=x509,

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.core.dataset import MtlsDataset
 from repro.core.livetail import (
     AdmissionController,
     LiveAnalysisEngine,
@@ -19,6 +20,7 @@ from repro.core.livetail import (
 from repro.core.parallel import analyze_directory
 from repro.core.streaming import StreamingAnalyzer, load_checkpoint_json
 from repro.netsim import LiveLogWriter, ScenarioConfig, TrafficGenerator
+from tests.core import profile_state
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +385,42 @@ class TestOverloadSampling:
         # Identity-level tables kept exact rows throughout.
         stats = harness.engine.tables()["table1"]["sampling"]
         assert stats is None
+
+
+    def test_cold_population_table_stays_exact(self, simulation, tmp_path):
+        """table7 samples while table8, cold and built over the same
+        certificate population, renders as an unsampled run does."""
+        exact = _Harness(tmp_path / "exact", simulation.trust_bundle)
+        harness = _Harness(
+            tmp_path / "hot", simulation.trust_bundle,
+            admission=AdmissionController(
+                high_watermark=20, low_watermark=0, reservoir_size=16,
+                hot_tables=("table7",),
+            ),
+        )
+        for directory in ("exact", "hot"):
+            LiveLogWriter(simulation.logs, tmp_path / directory).finalize()
+        exact.poll()
+        harness.poll()  # one huge batch: the window opens and stays open
+        assert harness.engine.admission.sampling
+        tables = harness.engine.tables()
+        stats = tables["table7"]["sampling"]
+        assert stats is not None and stats["correction"] > 1.0
+        assert tables["table8"]["sampling"] is None
+        assert (
+            tables["table8"]["table"].render()
+            == exact.engine.tables()["table8"]["table"].render()
+        )
+        # The cold store holds the exact population, each connection
+        # observed once.
+        cold = harness.engine.partials["table8"].store
+        assert harness.engine.partials["table7"].store is not cold
+        reference = exact.engine.partials["table8"].store
+        assert profile_state(cold) == profile_state(reference)
+        assert sum(p.connection_count for p in reference.profiles.values()) == sum(
+            (c.server_leaf is not None) + (c.client_leaf is not None)
+            for c in MtlsDataset(simulation.logs.ssl, simulation.logs.x509)
+        )
 
 
 class TestDaemonLoop:

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import protocol
+from repro.core.dataset import ProfileStore
+from tests.core import profile_state
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +30,8 @@ def _finalized(partial):
     return partial.finalize().render()
 
 
-def _run_split(analysis, context, connections, raw_views, splits, order):
-    """Feed each chunk into its own partial, merge in the given order."""
+def _chunks(connections, raw_views, splits):
+    """The enriched and raw streams cut at ``splits``, chunk by chunk."""
     bounds = [0, *sorted(splits), len(connections)]
     chunks = [
         connections[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)
@@ -40,20 +42,82 @@ def _run_split(analysis, context, connections, raw_views, splits, order):
         raw_views[raw_bounds[i]:raw_bounds[i + 1]]
         for i in range(len(raw_bounds) - 1)
     ]
-    partials = []
-    for index, chunk in enumerate(chunks):
+    return [
+        (chunk, raw_chunks[index] if index < len(raw_chunks) else [])
+        for index, chunk in enumerate(chunks)
+    ]
+
+
+def _standalone_set(context, chunk, raw_chunk):
+    """One private partial per analysis, each fed on its own — the
+    shape of the legacy wrappers and of state written before the
+    population partials shared a store."""
+    partials = {}
+    for analysis in protocol.iter_analyses():
         partial = analysis.factory(context)
         for conn in chunk:
             partial.update(conn)
-        if analysis.needs_raw and index < len(raw_chunks):
-            for view in raw_chunks[index]:
+        if analysis.needs_raw:
+            for view in raw_chunk:
                 partial.update_raw(view)
-        partials.append(partial)
-    ordered = [partials[i] for i in order] if order else partials
+        partials[analysis.name] = partial
+    return partials
+
+
+def _driver_set(context, chunk, raw_chunk):
+    partials = protocol.create_partials(None, context)
+    protocol.update_partials(partials, chunk, raw_chunk)
+    return partials
+
+
+def _run_split(
+    context, connections, raw_views, splits, order, driver=False, shapes=None
+):
+    """Feed each chunk into its own set of partials and merge the sets
+    in the given order: standalone partials merged one by one, or with
+    ``driver`` through create/update/merge_partials. ``shapes`` picks
+    the driver or standalone shape per chunk (driver mode only)."""
+    sets = []
+    for index, (chunk, raw_chunk) in enumerate(_chunks(connections, raw_views, splits)):
+        shared = driver if shapes is None else shapes[index]
+        build = _driver_set if shared else _standalone_set
+        sets.append(build(context, chunk, raw_chunk))
+    ordered = [sets[i] for i in order] if order else sets
     merged = ordered[0]
     for other in ordered[1:]:
-        merged.merge(other)
+        if driver:
+            protocol.merge_partials(merged, other)
+        else:
+            for name, partial in other.items():
+                merged[name].merge(partial)
     return merged
+
+
+def _population(partials):
+    return [p for p in partials.values() if isinstance(p, protocol.PopulationPartial)]
+
+
+def _reference_store(connections):
+    store = ProfileStore()
+    for conn in connections:
+        store.observe(conn.view)
+    return profile_state(store)
+
+
+def _draw_split(data, length):
+    n_chunks = data.draw(st.integers(min_value=2, max_value=5))
+    splits = sorted(
+        data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=length),
+                min_size=n_chunks - 1, max_size=n_chunks - 1,
+            )
+        )
+    )
+    seed = data.draw(st.integers(min_value=0, max_value=2**16))
+    order = list(range(n_chunks))
+    random.Random(seed).shuffle(order)
+    return splits, order
 
 
 class TestRegistry:
@@ -149,31 +213,91 @@ class TestMergeEquivalence:
         connections = small_result.enriched.connections
         raw = small_result.dataset.connections
         mid = len(connections) // 2
-        for analysis in protocol.iter_analyses():
-            sequential = _run_split(analysis, context, connections, raw, [], [])
-            halves = _run_split(analysis, context, connections, raw, [mid], [])
-            assert _finalized(halves) == _finalized(sequential), analysis.name
+        sequential = _run_split(context, connections, raw, [], [])
+        halves = _run_split(context, connections, raw, [mid], [])
+        for name, partial in sequential.items():
+            assert _finalized(halves[name]) == _finalized(partial), name
 
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_random_splits_and_orders(self, data, context, small_result):
         connections = small_result.enriched.connections
         raw = small_result.dataset.connections
-        n_chunks = data.draw(st.integers(min_value=2, max_value=5))
-        splits = sorted(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=len(connections)),
-                    min_size=n_chunks - 1, max_size=n_chunks - 1,
-                )
-            )
+        splits, order = _draw_split(data, len(connections))
+        sequential = _run_split(context, connections, raw, [], [])
+        shuffled = _run_split(context, connections, raw, splits, order)
+        for name, partial in sequential.items():
+            assert _finalized(shuffled[name]) == _finalized(partial), name
+
+
+class TestDriverPath:
+    """Driver-built sets share one profile store among the population
+    partials; split, merged and pickled, they still render the
+    standalone tables and hold exactly the whole-stream population."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_shared_store_matches_standalone(self, data, context, small_result):
+        connections = small_result.enriched.connections
+        raw = small_result.dataset.connections
+        splits, order = _draw_split(data, len(connections))
+        standalone = _run_split(context, connections, raw, [], [])
+        merged = _run_split(context, connections, raw, splits, order, driver=True)
+        for name, partial in standalone.items():
+            assert _finalized(merged[name]) == _finalized(partial), name
+        population = _population(merged)
+        assert len(population) == 9
+        assert len({id(p.store) for p in population}) == 1
+        # No table reads connection_count or client_ips, so a store
+        # observed or merged twice would pass every table check above.
+        assert profile_state(population[0].store) == _reference_store(connections)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_pickled_set_keeps_one_store(self, data, context, small_result):
+        connections = small_result.enriched.connections
+        raw = small_result.dataset.connections
+        splits, order = _draw_split(data, len(connections))
+        merged = _run_split(context, connections, raw, splits, order, driver=True)
+        clone = pickle.loads(pickle.dumps(merged, protocol=pickle.HIGHEST_PROTOCOL))
+        population = _population(clone)
+        assert len(population) == 9
+        assert len({id(p.store) for p in population}) == 1
+        assert profile_state(population[0].store) == _reference_store(connections)
+        for name, partial in merged.items():
+            assert _finalized(clone[name]) == _finalized(partial), name
+
+    @pytest.mark.parametrize("into_shared", [True, False])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_private_store_state_merges_with_shared(
+        self, data, into_shared, context, small_result
+    ):
+        """Sets shaped like state spilled before stores were shared
+        (nine private stores) merge into driver-built sets, and the
+        reverse."""
+        connections = small_result.enriched.connections
+        raw = small_result.dataset.connections
+        splits, order = _draw_split(data, len(connections))
+        shapes = data.draw(
+            st.lists(st.booleans(), min_size=len(order), max_size=len(order))
         )
-        seed = data.draw(st.integers(min_value=0, max_value=2**16))
-        order = list(range(n_chunks))
-        random.Random(seed).shuffle(order)
-        for analysis in protocol.iter_analyses():
-            sequential = _run_split(analysis, context, connections, raw, [], [])
-            shuffled = _run_split(
-                analysis, context, connections, raw, splits, order
-            )
-            assert _finalized(shuffled) == _finalized(sequential), analysis.name
+        shapes[order[0]] = into_shared
+        shapes[order[1]] = not into_shared
+        standalone = _run_split(context, connections, raw, [], [])
+        merged = _run_split(
+            context, connections, raw, splits, order, driver=True, shapes=shapes
+        )
+        reference = _reference_store(connections)
+        for partial in _population(merged):
+            assert profile_state(partial.store) == reference
+        for name, partial in standalone.items():
+            assert _finalized(merged[name]) == _finalized(partial), name
+
+    def test_standalone_partials_keep_private_stores(self, context):
+        partials = {
+            analysis.name: analysis.factory(context)
+            for analysis in protocol.iter_analyses()
+        }
+        population = _population(partials)
+        assert len({id(p.store) for p in population}) == len(population) == 9
