@@ -161,11 +161,9 @@ class MtlsDataset:
         x509_records: Iterable[X509Record],
         ingest_report=None,
     ):
-        self._x509_by_fuid: dict[str, X509Record] = {}
-        self._record_by_fingerprint: dict[str, X509Record] = {}
-        for record in x509_records:
-            self._x509_by_fuid[record.fuid] = record
-            self._record_by_fingerprint.setdefault(record.fingerprint, record)
+        self._x509_by_fuid: dict[str, X509Record] = {
+            record.fuid: record for record in x509_records
+        }
         self.connections: list[ConnView] = []
         #: The IngestReport of the read that produced the records, when
         #: they came through a lenient reader (None otherwise).

@@ -41,10 +41,12 @@ update/merge/finalize protocol makes the spilled partials trivially
 re-mergeable, so a resumed campaign is byte-identical to an
 uninterrupted one.
 
-Workers cache the parsed shard between phases, so each file is read at
-most twice (once when phase B lands on a different worker than phase A).
-The x509 stream is broadcast to every shard — fuid references may cross
-a month boundary and the certificate log is tiny next to ssl.log.
+Workers cache the parsed shard between phases, so each ssl file is read
+at most twice (again when phase B lands on a different worker than
+phase A). The x509 stream is broadcast to every shard, because fuid
+references may cross a month boundary, but each process decodes it once:
+its :class:`~repro.zeek.files.TsvDirectorySource` serves every month
+from that one decode.
 """
 
 from __future__ import annotations

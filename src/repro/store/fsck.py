@@ -163,9 +163,8 @@ def _rebuild_payload(
     opts = IngestOptions(on_error=manifest["options"]["on_error"])
     stem = filename[: -len(".col")] if filename.endswith(".col") else filename
     if stem.startswith("ssl-"):
-        month = stem[len("ssl-"):]
-        shard = source.read_month(month, opts)
-        return pack_table("ssl", shard.ssl)
+        ssl, _ = source.read_ssl(stem[len("ssl-"):], opts)
+        return pack_table("ssl", ssl)
     if stem.startswith("x509-"):
         cert_month = stem[len("x509-"):]
         months = manifest["months"]
@@ -174,8 +173,8 @@ def _rebuild_payload(
         # The x509 stream is shard-broadcast: any month's read carries
         # the full certificate stream, partitioned here exactly as
         # pack_archive partitions it.
-        shard = source.read_month(months[0], opts)
-        partition = [r for r in shard.x509 if month_of(r.ts) == cert_month]
+        x509, _ = source.read_x509(months[0], opts)
+        partition = [r for r in x509 if month_of(r.ts) == cert_month]
         return pack_table("x509", partition)
     return None
 

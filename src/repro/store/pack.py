@@ -105,22 +105,19 @@ def pack_archive(
         ssl_shards: dict[str, dict] = {}
         x509_meta: dict | None = None
         for month in source.months():
+            shard = source.read_month(month, opts)
             if x509_meta is None:
                 # The x509 stream (and its report) is identical for every
-                # shard — it is broadcast, not partitioned — so only the
-                # first month decodes it.
-                shard = source.read_month(month, opts)
-                ssl, ssl_report = shard.ssl, shard.ssl_report
+                # shard — broadcast, not partitioned, and decoded once by
+                # the source — so the first month's copy is packed.
                 x509_meta = _pack_x509(store_dir, shard.x509, shard.x509_report)
-            else:
-                ssl, ssl_report = source.read_ssl(month, opts)
             filename = f"ssl-{month}.col"
-            payload = pack_table("ssl", ssl)
+            payload = pack_table("ssl", shard.ssl)
             durable_write(store_dir / filename, payload)
             ssl_shards[month] = {
                 "file": filename,
-                "rows": len(ssl),
-                "report": ssl_report.to_dict(),
+                "rows": len(shard.ssl),
+                "report": shard.ssl_report.to_dict(),
                 **_file_meta(payload),
             }
         if x509_meta is None:

@@ -95,7 +95,8 @@ def discover_shards(directory: Path | str) -> list[tuple[str, list[Path], list[P
     chronologically. The x509 paths are the *full* set for every shard:
     fuid references may cross a month boundary (a chain logged just
     before midnight), so workers join against the whole certificate
-    stream — it is tiny next to ssl.log and deduplicated on load.
+    stream. :class:`TsvDirectorySource` decodes that stream once and
+    serves every shard from the one decode.
     """
     directory = Path(directory)
     ssl_paths = list(directory.glob("ssl.*.log")) + list(directory.glob("ssl.*.log.gz"))
@@ -159,23 +160,24 @@ class MonthStream:
 
     :meth:`ssl_batches` yields decoded ssl record batches as the files
     are read — a consumer on another thread can join/enrich batch *k*
-    while batch *k+1* is still decoding. :meth:`read_x509` loads the
-    (tiny, broadcast) certificate stream whole, ts-sorted exactly like
-    :meth:`TsvDirectorySource.read_month`. The two reports fill in as
-    reading proceeds and match the serial read's reports field for
-    field once both streams are drained.
+    while batch *k+1* is still decoding. :meth:`read_x509` serves the
+    (tiny, broadcast) certificate stream from its source, exactly like
+    :meth:`TsvDirectorySource.read_month`; call it on the thread that
+    owns the source. The two reports fill in as reading proceeds and
+    match the serial read's reports field for field once both streams
+    are drained.
     """
 
     def __init__(
         self,
         month: str,
         ssl_paths: Iterable[str],
-        x509_paths: Iterable[str],
+        source: "TsvDirectorySource",
         options: IngestOptions,
     ) -> None:
         self.month = month
         self._ssl_paths = tuple(str(p) for p in ssl_paths)
-        self._x509_paths = tuple(str(p) for p in x509_paths)
+        self._source = source
         self._options = options
         self.ssl_report = IngestReport()
         self.x509_report = IngestReport()
@@ -190,11 +192,9 @@ class MonthStream:
                 )
 
     def read_x509(self) -> list[X509Record]:
-        records = _read_many(
-            [Path(p) for p in self._x509_paths],
-            read_x509_log, self._options, self.x509_report,
+        records, self.x509_report = self._source.read_x509(
+            self.month, self._options
         )
-        records.sort(key=lambda r: r.ts)
         return records
 
 
@@ -206,8 +206,13 @@ class TsvDirectorySource:
     differential suite. Shards follow :func:`discover_shards` — one per
     calendar month, with the full x509 stream broadcast to each.
 
-    Instances hold only path tuples, so they pickle cheaply into
-    executor worker processes.
+    The broadcast stream is decoded once per instance (see
+    :meth:`read_x509`); each shard gets a fresh list over the same
+    frozen records. The decode is kept on the instance without a lock,
+    so call an instance from one thread (the pipelined loader's feeder
+    thread decodes ssl only). It is not pickled: instances ship to
+    executor worker processes as path tuples and each worker decodes
+    for itself.
     """
 
     def __init__(self, directory: Path | str) -> None:
@@ -216,6 +221,12 @@ class TsvDirectorySource:
             (month, tuple(str(p) for p in ssl_paths), tuple(str(p) for p in x509_paths))
             for month, ssl_paths, x509_paths in discover_shards(directory)
         )
+        self._x509_decoded: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_x509_decoded"] = None
+        return state
 
     @classmethod
     def from_shards(
@@ -230,6 +241,7 @@ class TsvDirectorySource:
             (month, tuple(str(p) for p in ssl), tuple(str(p) for p in x509))
             for month, ssl, x509 in shards
         )
+        source._x509_decoded = None
         return source
 
     def months(self) -> tuple[str, ...]:
@@ -245,8 +257,8 @@ class TsvDirectorySource:
     def read_ssl(
         self, month: str, options: IngestOptions
     ) -> tuple[list[SslRecord], IngestReport]:
-        """One shard's ssl records and their report: :meth:`read_month`
-        without decoding the broadcast x509 stream again."""
+        """One shard's ts-sorted ssl records and their report: the ssl
+        half of :meth:`read_month`."""
         ssl_paths, _ = self._shard_paths(month)
         ssl_report = IngestReport()
         ssl = _read_many(
@@ -255,14 +267,38 @@ class TsvDirectorySource:
         ssl.sort(key=lambda r: r.ts)
         return ssl, ssl_report
 
+    def read_x509(
+        self, month: str, options: IngestOptions
+    ) -> tuple[list[X509Record], IngestReport]:
+        """One shard's ts-sorted x509 records and their report.
+
+        The first call decodes the shard's x509 files; later calls with
+        the same paths and the same ``on_error``/``fast_path``/
+        ``batch_chunk_chars`` are served from that decode: a fresh list
+        over the same records and a fresh report equal to the decode's.
+        A failed decode is not kept, so a strict-mode error is raised
+        again, identically, for every month.
+        """
+        _, x509_paths = self._shard_paths(month)
+        key = (
+            x509_paths, options.on_error, options.fast_path,
+            options.batch_chunk_chars,
+        )
+        if self._x509_decoded is None or self._x509_decoded[0] != key:
+            report = IngestReport()
+            records = _read_many(
+                [Path(p) for p in x509_paths], read_x509_log, options, report
+            )
+            records.sort(key=lambda r: r.ts)
+            self._x509_decoded = (key, records, report)
+        _, records, report = self._x509_decoded
+        shard_report = IngestReport()
+        shard_report.merge(report)
+        return list(records), shard_report
+
     def read_month(self, month: str, options: IngestOptions) -> ShardRecords:
         ssl, ssl_report = self.read_ssl(month, options)
-        _, x509_paths = self._shard_paths(month)
-        x509_report = IngestReport()
-        x509 = _read_many(
-            [Path(p) for p in x509_paths], read_x509_log, options, x509_report
-        )
-        x509.sort(key=lambda r: r.ts)
+        x509, x509_report = self.read_x509(month, options)
         return ShardRecords(
             month=month, ssl=ssl, x509=x509,
             ssl_report=ssl_report, x509_report=x509_report,
@@ -272,8 +308,8 @@ class TsvDirectorySource:
         """A :class:`MonthStream` over one shard — the pipelined
         counterpart of :meth:`read_month`. Sources without this method
         are loaded serially by the executor."""
-        ssl_paths, x509_paths = self._shard_paths(month)
-        return MonthStream(month, ssl_paths, x509_paths, options)
+        ssl_paths, _ = self._shard_paths(month)
+        return MonthStream(month, ssl_paths, self, options)
 
     def read_all(
         self, options: IngestOptions

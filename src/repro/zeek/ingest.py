@@ -388,9 +388,11 @@ class ShardRecords:
 
     ``ssl`` and ``x509`` are timestamp-sorted; ``x509`` is always the
     *full* (cross-month) certificate stream because fuid references may
-    cross a rotation boundary. The two reports carry the exact ingest
-    accounting for this shard — replayed verbatim by store-backed
-    sources so downstream ingest-health tables stay byte-identical.
+    cross a rotation boundary. The TSV and store sources each read that
+    stream once per instance and hand every shard a fresh list over the
+    same records. The two reports carry the exact ingest accounting for
+    this shard — replayed verbatim by store-backed sources so downstream
+    ingest-health tables stay byte-identical.
     """
 
     month: str

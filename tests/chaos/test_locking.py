@@ -140,7 +140,12 @@ class TestStaleLockTakeover:
             finally:
                 lock.release()
         finally:
-            release.set()
+            # A multiprocessing Event.set() waits for every sleeper to
+            # wake, which a SIGKILLed holder never does: wake the holder
+            # only while it lives.
+            if holder.is_alive():
+                release.set()
+                holder.join(timeout=10)
             if holder.is_alive():
                 holder.terminate()
                 holder.join(timeout=10)

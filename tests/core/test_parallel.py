@@ -11,6 +11,7 @@ from repro.core.parallel import CampaignResult, ShardExecutor, analyze_directory
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek.files import discover_shards, write_rotated_logs
+from repro.zeek.tsv import read_x509_log
 
 pytestmark = pytest.mark.usefixtures("supervision_watchdog")
 
@@ -148,6 +149,27 @@ class TestExecutorEquivalence:
             simulation.logs.x509
         )
         assert campaign.ingest.rows_dropped == 0
+
+    @pytest.mark.parametrize("pipeline", ["on", "off"])
+    def test_x509_files_decoded_once_per_campaign(
+        self, archive, simulation, monkeypatch, pipeline
+    ):
+        from repro.zeek import files
+
+        decoded = []
+
+        def counting_read_x509_log(source, options=None, **kwargs):
+            decoded.append(options.path)
+            return read_x509_log(source, options, **kwargs)
+
+        monkeypatch.setattr(files, "read_x509_log", counting_read_x509_log)
+        analyze_directory(
+            archive, bundle=simulation.trust_bundle,
+            ct_log=simulation.ct_log, jobs=1, pipeline=pipeline,
+        )
+        x509_files = sorted(str(p) for p in archive.glob("x509.*"))
+        assert len(x509_files) == _SCENARIO.months
+        assert sorted(decoded) == x509_files
 
     def test_empty_shard_list_rejected(self, simulation):
         executor = ShardExecutor(simulation.trust_bundle)
