@@ -731,9 +731,7 @@ def cmd_intercept(args: argparse.Namespace) -> int:
         leaf = by_fuid.get(record.server_leaf_fuid or "")
         if leaf is None or not record.server_name:
             continue
-        if bundle.knows_issuer_dn(leaf.issuer) or bundle.knows_organization(
-            leaf.issuer_org
-        ):
+        if bundle.is_public(leaf):
             ct.add(record.server_name, leaf.issuer)
 
     enricher = Enricher(

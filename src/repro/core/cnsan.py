@@ -9,6 +9,7 @@ tables over mutual, shared, and non-mutual certificate populations.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import re
 from collections import Counter
@@ -37,11 +38,20 @@ _USER_ACCOUNT_RE = re.compile(r"^[a-z]{2,3}\d[a-z]{2,3}$")
 _IPV4_RE = re.compile(r"^\d{1,3}(\.\d{1,3}){3}$")
 
 
+#: Distinct values one classifier remembers (a 23-month campus campaign
+#: classifies under a thousand).
+_MEMO_SIZE = 65536
+
+
 class CnSanClassifier:
     """Classifies one CN or SAN value into an information type.
 
     `campus_issuer_markers` gates the UserAccount type: the paper only
     counts university-format IDs when the issuer is a campus-managed CA.
+
+    Every other rule depends on the value alone, so each classifier
+    remembers the type of each distinct value (a bounded LRU memo) and
+    runs the regexes and the NER classifier once per value.
     """
 
     def __init__(
@@ -51,6 +61,9 @@ class CnSanClassifier:
     ) -> None:
         self.ner = ner or NerClassifier()
         self.campus_issuer_markers = tuple(m.lower() for m in campus_issuer_markers)
+        self._value_type = functools.lru_cache(maxsize=_MEMO_SIZE)(
+            self._derive_value_type
+        )
 
     def _issuer_is_campus(self, issuer_org: str | None, issuer_cn: str | None) -> bool:
         for text in (issuer_org, issuer_cn):
@@ -65,6 +78,13 @@ class CnSanClassifier:
         issuer_cn: str | None = None,
     ) -> str:
         value = value.strip()
+        # No rule ahead of UserAccount matches an account-shaped value,
+        # so testing it first leaves every answer unchanged.
+        if _USER_ACCOUNT_RE.match(value) and self._issuer_is_campus(issuer_org, issuer_cn):
+            return "UserAccount"
+        return self._value_type(value)
+
+    def _derive_value_type(self, value: str) -> str:
         if not value:
             return "Unidentified"
         lowered = value.lower()
@@ -80,8 +100,6 @@ class CnSanClassifier:
             return "IP"
         if _EMAIL_RE.match(value):
             return "Email"
-        if _USER_ACCOUNT_RE.match(value) and self._issuer_is_campus(issuer_org, issuer_cn):
-            return "UserAccount"
         if is_domain_like(value):
             return "Domain"
         entity = self.ner.classify(value)
@@ -90,6 +108,13 @@ class CnSanClassifier:
         if entity.label in (EntityLabel.ORG, EntityLabel.PRODUCT):
             return "OrgProduct"
         return "Unidentified"
+
+
+@functools.lru_cache(maxsize=1)
+def default_classifier() -> CnSanClassifier:
+    """The classifier shared by every table that classifies with the
+    default markers (8, 9, 13b and 14b), so their memo is shared too."""
+    return CnSanClassifier()
 
 
 def _maybe_ip(value: str) -> bool:
@@ -107,11 +132,7 @@ def _maybe_ip(value: str) -> bool:
 
 def _group_of(bundle: TrustBundle, profile: CertProfile) -> tuple[str, str]:
     role = "Server" if profile.primary_role == "server" else "Client"
-    record = profile.record
-    public = bundle.knows_issuer_dn(record.issuer) or bundle.knows_organization(
-        record.issuer_org
-    )
-    kind = "Public" if public else "Private"
+    kind = "Public" if bundle.is_public(profile.record) else "Private"
     return role, kind
 
 
@@ -255,7 +276,7 @@ def _count_information_types(
     classifier: CnSanClassifier | None,
     split_roles: bool,
 ) -> InfoTypeMatrix:
-    classifier = classifier or CnSanClassifier()
+    classifier = classifier or default_classifier()
     matrix = InfoTypeMatrix()
 
     def bump(group: str, fieldname: str, info_type: str) -> None:
@@ -420,7 +441,7 @@ def _count_unidentified(
     bundle: TrustBundle,
     classifier: CnSanClassifier | None = None,
 ) -> list[UnidentifiedBreakdown]:
-    classifier = classifier or CnSanClassifier()
+    classifier = classifier or default_classifier()
     rows: dict[tuple[str, str], UnidentifiedBreakdown] = {}
 
     def bucket(group: str, fieldname: str) -> UnidentifiedBreakdown:

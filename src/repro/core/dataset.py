@@ -11,6 +11,15 @@ from repro.zeek import SslRecord, X509Record
 from repro.zeek.builder import ZeekLogs
 
 
+def presents_any(ssl: SslRecord, fuids: set[str]) -> bool:
+    """True when either certificate chain of the connection holds one of
+    the fuids (the interception filter's drop predicate)."""
+    return not (
+        fuids.isdisjoint(ssl.cert_chain_fuids)
+        and fuids.isdisjoint(ssl.client_cert_chain_fuids)
+    )
+
+
 @dataclass
 class ConnView:
     """One established connection joined with its leaf certificates."""
@@ -250,15 +259,26 @@ class MtlsDataset:
     def without_fingerprints(self, excluded: set[str]) -> "MtlsDataset":
         """A copy of the dataset with the given certificates (and the
         connections presenting them) removed — used by the interception
-        filter."""
-        keep_x509 = [
-            r for r in self._x509_by_fuid.values() if r.fingerprint not in excluded
-        ]
+        filter.
+
+        Equal to rebuilding the dataset from the kept rows, without the
+        re-join: a kept connection's chains hold no removed fuid, so its
+        leaves join exactly as before and its views are reused.
+        """
         excluded_fuids = self.fuids_of(excluded)
-        keep_ssl = []
+        kept = MtlsDataset((), (), ingest_report=self.ingest_report)
+        kept._x509_by_fuid = {
+            fuid: record
+            for fuid, record in self._x509_by_fuid.items()
+            if fuid not in excluded_fuids
+        }
         for conn in self.connections:
-            fuids = set(conn.ssl.cert_chain_fuids) | set(conn.ssl.client_cert_chain_fuids)
-            if fuids & excluded_fuids:
+            if presents_any(conn.ssl, excluded_fuids):
                 continue
-            keep_ssl.append(conn.ssl)
-        return MtlsDataset(keep_ssl, keep_x509, ingest_report=self.ingest_report)
+            kept.connections.append(conn)
+            ssl = conn.ssl
+            if ssl.cert_chain_fuids and conn.server_leaf is None:
+                kept.dangling_fuid_refs += 1
+            if ssl.client_cert_chain_fuids and conn.client_leaf is None:
+                kept.dangling_fuid_refs += 1
+        return kept

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -13,7 +14,10 @@ from repro.text.domains import extract_domain
 from repro.text.fuzzy import normalize_org
 
 
+@functools.lru_cache(maxsize=65536)
 def _is_dummy_org(org: str | None) -> bool:
+    # Read for every leaf of every connection over a few dozen distinct
+    # issuer organizations, so answers are cached.
     return bool(org) and normalize_org(org) in DUMMY_ORGANIZATIONS
 
 

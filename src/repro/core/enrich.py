@@ -80,10 +80,9 @@ class EnrichedConn:
     server_public: bool | None  # None when no server cert was observed
     client_public: bool | None
     association: str | None  # inbound only
-
-    @property
-    def is_mutual(self) -> bool:
-        return self.view.is_mutual
+    #: Both leaves observed; set once by the enricher, read by every
+    #: analysis for every connection.
+    is_mutual: bool
 
 
 @dataclass
@@ -121,19 +120,8 @@ class EnrichedDataset:
     def mutual(self) -> list[EnrichedConn]:
         return [c for c in self.connections if c.is_mutual]
 
-    def is_public_record(self, record: X509Record) -> bool:
-        return _is_public(record, self.bundle)
-
     def mutual_profiles(self) -> dict[str, CertProfile]:
         return {fp: p for fp, p in self.profiles.items() if p.used_in_mutual}
-
-
-def _is_public(record: X509Record, bundle: TrustBundle) -> bool:
-    """The paper's public-CA predicate at log level: the issuer DN or
-    issuer organization appears in at least one major trust store."""
-    if bundle.knows_issuer_dn(record.issuer):
-        return True
-    return bundle.knows_organization(record.issuer_org)
 
 
 def derive_cert_facts(record: X509Record, bundle: TrustBundle) -> CertFacts:
@@ -148,7 +136,7 @@ def derive_cert_facts(record: X509Record, bundle: TrustBundle) -> CertFacts:
     issuer_org = record.issuer_org
     return CertFacts(
         fingerprint=record.fingerprint,
-        is_public=_is_public(record, bundle),
+        is_public=bundle.is_public(record),
         issuer_org=issuer_org,
         issuer_cn=record.issuer_cn,
         subject_cn=record.subject_cn,
@@ -211,7 +199,7 @@ class InterceptionScan:
     def _leaf_public(self, leaf: X509Record) -> bool:
         if self.fact_cache is not None:
             return self.fact_cache.get(leaf.fingerprint, leaf).is_public
-        return _is_public(leaf, self.bundle)
+        return self.bundle.is_public(leaf)
 
     def observe(self, conn: ConnView) -> None:
         for leaf in (conn.server_leaf, conn.client_leaf):
@@ -332,7 +320,7 @@ class Enricher:
     def _is_public(self, record: X509Record) -> bool:
         if self.fact_cache is not None:
             return self.fact_cache.get(record.fingerprint, record).is_public
-        return _is_public(record, self.bundle)
+        return self.bundle.is_public(record)
 
     def label(self, conn: ConnView) -> EnrichedConn:
         """Label one raw connection view — the incremental entry point
@@ -356,6 +344,7 @@ class Enricher:
             server_public=server_public,
             client_public=client_public,
             association=association,
+            is_mutual=conn.is_mutual,
         )
 
     def _interception_report(self, dataset: MtlsDataset) -> InterceptionReport:

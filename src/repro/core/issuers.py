@@ -61,7 +61,7 @@ CATEGORIES = (
 
 def categorize_issuer(record: X509Record, bundle: TrustBundle) -> str:
     """Assign one of the paper's eight issuer categories to a certificate."""
-    if bundle.knows_issuer_dn(record.issuer) or bundle.knows_organization(record.issuer_org):
+    if bundle.is_public(record):
         return "Public"
     org = record.issuer_org
     if not org:

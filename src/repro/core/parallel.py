@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core import metrics, protocol, tracing
-from repro.core.dataset import MtlsDataset
+from repro.core.dataset import MtlsDataset, presents_any
 from repro.core.durable import durable_write, sweep_orphans
 from repro.core.enrich import (
     AssociationRules,
@@ -384,12 +384,7 @@ def _pipelined_analysis(
         for conns in stream.connections():
             enriched = [
                 label(conn) for conn in conns
-                if not excluded_fuids or (
-                    excluded_fuids.isdisjoint(conn.ssl.cert_chain_fuids)
-                    and excluded_fuids.isdisjoint(
-                        conn.ssl.client_cert_chain_fuids
-                    )
-                )
+                if not presents_any(conn.ssl, excluded_fuids)
             ]
             protocol.update_partials(partials, enriched, conns)
             enriched_count += len(enriched)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.core import protocol
 from repro.core.enrich import EnrichedConn, EnrichedDataset
 from repro.core.report import Table, fmt_count, percentage
-from repro.trust import TrustBundle
 
 
 def month_label(ts: _dt.datetime) -> str:
@@ -211,12 +210,6 @@ class Figure1Partial(protocol.AnalysisPartial):
         return render_monthly_share(self.result())
 
 
-def _is_public(record, bundle: TrustBundle) -> bool:
-    if bundle.knows_issuer_dn(record.issuer):
-        return True
-    return bundle.knows_organization(record.issuer_org)
-
-
 class Table1Partial(protocol.AnalysisPartial):
     """Unique leaf certificates by role and issuer kind (Table 1).
 
@@ -226,18 +219,19 @@ class Table1Partial(protocol.AnalysisPartial):
     """
 
     def __init__(self, context: protocol.AnalysisContext) -> None:
-        self._bundle = context.bundle
         self.state = CertUsageState()
 
     def update(self, conn: EnrichedConn) -> None:
+        # The enricher labelled each leaf with the public-CA predicate.
         mutual = conn.is_mutual
-        for role, leaf in (
-            ("server", conn.view.server_leaf), ("client", conn.view.client_leaf)
-        ):
-            if leaf is None:
-                continue
+        view = conn.view
+        if view.server_leaf is not None:
             self.state.observe(
-                leaf.fingerprint, _is_public(leaf, self._bundle), role, mutual
+                view.server_leaf.fingerprint, conn.server_public, "server", mutual
+            )
+        if view.client_leaf is not None:
+            self.state.observe(
+                view.client_leaf.fingerprint, conn.client_public, "client", mutual
             )
 
     def merge(self, other: "Table1Partial") -> None:

@@ -166,8 +166,7 @@ class StreamingAnalyzer:
                     record.fingerprint, record
                 ).is_public
             else:
-                public = self.bundle.knows_issuer_dn(record.issuer) or \
-                    self.bundle.knows_organization(record.issuer_org)
+                public = self.bundle.is_public(record)
             self._usage.ensure(record.fingerprint, public)
             if (
                 self.max_fuid_map is not None

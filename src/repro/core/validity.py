@@ -373,7 +373,6 @@ class Figure5Partial(protocol.AnalysisPartial):
     """Expired client certificates in established mutual TLS (Figure 5)."""
 
     def __init__(self, context: protocol.AnalysisContext) -> None:
-        self._bundle = context.bundle
         self.expired: dict[str, _ExpiredState] = {}
         #: fingerprint → [first_seen, last_seen] over ALL connections the
         #: certificate appears in (either side) — the profile activity span.
@@ -405,7 +404,7 @@ class Figure5Partial(protocol.AnalysisPartial):
         if state is None:
             state = _ExpiredState(
                 issuer_org=leaf.issuer_org,
-                public=self._is_public(leaf),
+                public=conn.client_public,
                 witness=mark,
                 direction=conn.direction,
                 days_expired=leaf.days_expired(ts),
@@ -422,11 +421,6 @@ class Figure5Partial(protocol.AnalysisPartial):
             sld = extract_domain(sni).registrable
             if sld:
                 state.slds.add(sld)
-
-    def _is_public(self, record: X509Record) -> bool:
-        if self._bundle.knows_issuer_dn(record.issuer):
-            return True
-        return self._bundle.knows_organization(record.issuer_org)
 
     def merge(self, other: "Figure5Partial") -> None:
         for fingerprint, span in other.activity.items():

@@ -8,6 +8,7 @@ suffixes like co.uk and com.cn, and wildcard-free behaviour).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -59,6 +60,7 @@ class DomainParts:
         return ".".join(parts)
 
 
+@functools.lru_cache(maxsize=65536)
 def extract_domain(host: str) -> DomainParts:
     """Split a host into (subdomain, sld, suffix) with PSL semantics.
 
@@ -66,6 +68,9 @@ def extract_domain(host: str) -> DomainParts:
     tldextract). A host with no recognized suffix yields suffix '' and
     the last label as sld — degraded but stable behaviour for the
     free-text values common in certificate SANs.
+
+    Capture logs repeat SNIs heavily, so answers sit behind a bounded
+    LRU cache; ``DomainParts`` is frozen, so callers may share one.
     """
     host = host.strip().strip(".").lower()
     if not host:

@@ -29,6 +29,15 @@ class TrustBundle:
             return False
         return _normalize_org(organization) in self.organizations
 
+    def is_public(self, record) -> bool:
+        """The paper's public-CA predicate at log level: the issuer DN or
+        the issuer organization of an x509 record appears in at least
+        one major trust store (§3.2)."""
+        return self.knows_issuer_dn(record.issuer) or self.knows_organization(
+            record.issuer_org
+        )
+
+
 #: Store names mirroring the four sources the paper consults (§3.2).
 WELL_KNOWN_STORE_NAMES = ("mozilla-nss", "apple", "microsoft", "ccadb")
 
