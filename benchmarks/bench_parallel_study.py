@@ -38,7 +38,8 @@ def bench_world(tmp_path_factory):
 def _timed_run(directory, simulation, jobs: int):
     started = time.perf_counter()
     campaign = analyze_directory(
-        directory, simulation.trust_bundle, simulation.ct_log, jobs=jobs
+        directory, bundle=simulation.trust_bundle,
+        ct_log=simulation.ct_log, jobs=jobs,
     )
     elapsed = time.perf_counter() - started
     return campaign, elapsed

@@ -12,6 +12,7 @@ import time
 from repro.core.report import Table
 from repro.zeek import (
     ErrorPolicy,
+    IngestOptions,
     IngestReport,
     read_ssl_log,
     read_x509_log,
@@ -29,10 +30,12 @@ def _time_read(ssl_text: str, x509_text: str, policy: ErrorPolicy) -> float:
     best = float("inf")
     rows = 0
     for _ in range(ROUNDS):
-        ingest = IngestReport() if policy.lenient else None
+        options = IngestOptions(
+            on_error=policy, report=IngestReport() if policy.lenient else None
+        )
         started = time.perf_counter()
-        ssl = read_ssl_log(io.StringIO(ssl_text), on_error=policy, report=ingest)
-        x509 = read_x509_log(io.StringIO(x509_text), on_error=policy, report=ingest)
+        ssl = read_ssl_log(io.StringIO(ssl_text), options)
+        x509 = read_x509_log(io.StringIO(x509_text), options)
         best = min(best, time.perf_counter() - started)
         rows = len(ssl) + len(x509)
     assert rows > 0

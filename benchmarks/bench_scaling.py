@@ -4,9 +4,9 @@ Not a paper artifact — the acceptance record of the batch-ingest +
 intra-shard-pipelining engine. Two curves are measured and emitted to
 ``BENCH_scaling.json``:
 
-* **Row-volume curve** — decoder throughput (rows/sec) for the three
-  tiers (``off`` reference, ``on`` compiled per-row, ``batch``
-  vectorized) at increasing total row volumes. Corpus text is tiled in
+* **Row-volume curve** — decoder throughput (rows/sec) for the two
+  engines (``off`` reference, ``batch`` vectorized) at increasing total
+  row volumes. Corpus text is tiled in
   memory up to a bounded size and re-read to reach each target volume,
   so the curve measures steady-state throughput without multi-GB
   strings. Full scale sweeps 10^5 → 10^7 rows; smoke shrinks the
@@ -42,7 +42,7 @@ VOLUMES = (2_000, 10_000, 50_000) if SMOKE else (100_000, 1_000_000, 10_000_000)
 #: whole reads of the tile (steady-state throughput, bounded memory).
 MAX_TILE_ROWS = 1_000_000
 
-MODES = ("off", "on", "batch")
+MODES = ("off", "batch")
 
 #: Full-leg acceptance: the engineered path (batch + pipelining +
 #: jobs=N) must beat the reference serial path by this factor on the
@@ -53,7 +53,7 @@ MODES = ("off", "on", "batch")
 #: records the curve; the real bar is full-scale.
 MIN_FULL_LEG_SPEEDUP = 0.85 if SMOKE else 5.0
 
-#: The batch tier must beat the reference tier by this factor at the
+#: The batch engine must beat the reference engine by this factor at the
 #: largest volume (single-threaded decode alone, no pipelining).
 MIN_BATCH_SPEEDUP = 1.2 if SMOKE else 2.0
 
@@ -93,7 +93,7 @@ def _tile(text: str, rows: int) -> tuple[str, int]:
 
 
 def _measure_volume(ssl_tile: str, tile_rows: int, volume: int, mode: str):
-    """Rows/sec for one decoder tier at one total row volume."""
+    """Rows/sec for one decoder engine at one total row volume."""
     passes = max(1, -(-volume // tile_rows))
     started = time.perf_counter()
     total = 0
@@ -108,20 +108,19 @@ def _measure_volume(ssl_tile: str, tile_rows: int, volume: int, mode: str):
 def test_row_volume_curve():
     logs = TrafficGenerator(_CURVE_CONFIG).generate().logs
     base = ssl_log_to_string(logs.ssl)
-    # Byte-identical across tiers on the tiled corpus, re-asserted here
-    # (the deep proof is the tests/differential three-way suite).
+    # Byte-identical across engines on the tiled corpus, re-asserted
+    # here (the deep proof is the tests/differential suite).
     tile, tile_rows = _tile(base, VOLUMES[0])
     reference = read_ssl_log(io.StringIO(tile), IngestOptions(fast_path="off"))
-    for mode in ("on", "batch"):
-        assert (
-            read_ssl_log(io.StringIO(tile), IngestOptions(fast_path=mode))
-            == reference
-        )
+    assert (
+        read_ssl_log(io.StringIO(tile), IngestOptions(fast_path="batch"))
+        == reference
+    )
 
     curve = []
     table = Table(
-        "Ingest scaling: rows/sec by volume and tier",
-        ["Rows", "off", "on", "batch", "batch/off"],
+        "Ingest scaling: rows/sec by volume and engine",
+        ["Rows", "off", "batch", "batch/off"],
     )
     for volume in VOLUMES:
         tile, tile_rows = _tile(base, volume)
@@ -134,7 +133,6 @@ def test_row_volume_curve():
         table.add_row(
             f"{volume:,}",
             f"{rps['off']:,.0f}",
-            f"{rps['on']:,.0f}",
             f"{rps['batch']:,.0f}",
             f"x{rps['batch'] / rps['off']:.2f}",
         )
@@ -144,13 +142,12 @@ def test_row_volume_curve():
     batch_speedup = largest["batch"] / largest["off"]
     report(
         table,
-        f"target: batch tier >= x{MIN_BATCH_SPEEDUP} over the reference "
-        "tier at the largest volume, flat rows/sec across volumes",
+        f"target: batch engine >= x{MIN_BATCH_SPEEDUP} over the reference "
+        "engine at the largest volume, flat rows/sec across volumes",
         records_per_sec=largest["batch"],
         accuracy={
             "curve": curve,
             "batch_vs_off_at_max_volume": batch_speedup,
-            "on_vs_off_at_max_volume": largest["on"] / largest["off"],
         },
     )
     assert batch_speedup >= MIN_BATCH_SPEEDUP

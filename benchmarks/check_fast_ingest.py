@@ -1,7 +1,7 @@
 """Perf regression gate for the fast ingest path.
 
 Compares a freshly measured ``BENCH_fast_ingest.json`` against the
-committed baseline and fails when the fast reader's records/sec falls
+committed baseline and fails when the batch reader's records/sec falls
 more than ``--tolerance`` below the baseline, or when the measured
 speedup over the slow reader drops under ``--min-speedup``. Run by the
 CI differential job after the smoke bench::
@@ -25,7 +25,7 @@ from pathlib import Path
 #: Allowed fractional drop in records/sec vs the committed baseline.
 DEFAULT_TOLERANCE = 0.30
 
-#: The measured fast/slow ratio may never fall below this.
+#: The measured batch/slow ratio may never fall below this.
 DEFAULT_MIN_SPEEDUP = 1.2
 
 
@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
-        help="minimum fast/slow ratio (default 1.2)",
+        help="minimum batch/slow ratio (default 1.2)",
     )
     args = parser.parse_args(argv)
     findings = check(

@@ -54,7 +54,8 @@ def main() -> None:
             label = "inline" if n == 1 else f"{n} processes"
             started = time.perf_counter()
             campaign = analyze_directory(
-                archive, simulation.trust_bundle, simulation.ct_log, jobs=n
+                archive, bundle=simulation.trust_bundle,
+                ct_log=simulation.ct_log, jobs=n,
             )
             elapsed = time.perf_counter() - started
             tables = [t.render() for t in campaign.tables()]

@@ -27,6 +27,7 @@ from repro.core.report import render_ingest_health
 from repro.core.streaming import StreamingAnalyzer
 from repro.netsim import FaultPlan, LogCorruptor, ScenarioConfig, TrafficGenerator
 from repro.zeek import (
+    IngestOptions,
     IngestReport,
     read_ssl_log,
     read_x509_log,
@@ -55,13 +56,10 @@ def main() -> None:
     )
 
     print("3. Re-ingesting under the quarantine policy...\n")
-    report = IngestReport()
-    ssl = read_ssl_log(
-        io.StringIO(ssl_bad), on_error="quarantine", report=report, path="ssl.log"
-    )
-    x509 = read_x509_log(
-        io.StringIO(x509_bad), on_error="quarantine", report=report, path="x509.log"
-    )
+    options = IngestOptions(on_error="quarantine", report=IngestReport())
+    ssl = read_ssl_log(io.StringIO(ssl_bad), options.for_path("ssl.log"))
+    x509 = read_x509_log(io.StringIO(x509_bad), options.for_path("x509.log"))
+    report = options.report
     print(render_ingest_health(report).render())
     assert report.rows_dropped == truth.expected_reader_drops
     print(

@@ -92,10 +92,10 @@ _FLAG_SPECS: dict[str, tuple[tuple[str, ...], dict]] = {
     )),
     "fast-path": (("--fast-path",), dict(
         choices=[m.value for m in FastPath], default="auto",
-        help="ingest/enrich fast path: compiled row decoders plus the "
+        help="ingest/enrich fast path: the batch decode engine plus the "
              "per-certificate fact cache. Results are byte-identical "
              "either way; 'off' is the reference path, 'auto' (default) "
-             "enables it",
+             "and 'batch' enable it",
     )),
     "jobs": (("--jobs",), dict(
         type=int, default=0, metavar="N",

@@ -125,26 +125,11 @@ class EnrichedDataset:
 
 
 def derive_cert_facts(record: X509Record, bundle: TrustBundle) -> CertFacts:
-    """All per-certificate derivations the pipeline consults repeatedly,
-    computed once: the reference functions are called verbatim, so cached
+    """The per-certificate facts the pipeline consults repeatedly,
+    computed once: the reference predicate is called verbatim, so cached
     answers are identical to uncached ones by construction."""
-    # Lazy import: repro.core.issuers imports this module for the
-    # enriched-dataset types, so the dummy-organization table cannot be
-    # imported at module level.
-    from repro.core.dummy import _is_dummy_org
-
-    issuer_org = record.issuer_org
     return CertFacts(
-        fingerprint=record.fingerprint,
-        is_public=bundle.is_public(record),
-        issuer_org=issuer_org,
-        issuer_cn=record.issuer_cn,
-        subject_cn=record.subject_cn,
-        subject_org=record.subject_org,
-        dummy_issuer=_is_dummy_org(issuer_org),
-        validity_days=record.validity_days,
-        inverted_validity=record.has_inverted_validity,
-        san_dns=record.san_dns,
+        fingerprint=record.fingerprint, is_public=bundle.is_public(record)
     )
 
 

@@ -129,7 +129,7 @@ class LogTailer:
         *,
         report: IngestReport | None = None,
         on_error: ErrorPolicy | str = ErrorPolicy.SKIP,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str = FastPath.AUTO,
     ) -> None:
         self.directory = Path(directory)
         self.kind = kind
@@ -568,7 +568,7 @@ class LiveAnalysisEngine:
         *,
         rules: AssociationRules | None = None,
         max_fuid_map: int | None = None,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str = FastPath.AUTO,
         min_interception_domains: int = 5,
         admission: AdmissionController | None = None,
     ) -> None:
@@ -576,7 +576,7 @@ class LiveAnalysisEngine:
         self.bundle = bundle
         self.analyzer = StreamingAnalyzer(
             bundle,
-            options=IngestOptions(fast_path=FastPath.coerce(fast_path)),
+            options=IngestOptions(fast_path=fast_path),
             max_fuid_map=max_fuid_map,
             keep_records=True,
         )
@@ -810,7 +810,7 @@ class LiveTailDaemon:
         checkpoint_interval: float = 30.0,
         poll_interval: float = 0.05,
         on_error: ErrorPolicy | str = ErrorPolicy.SKIP,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str = FastPath.AUTO,
         max_fuid_map: int | None = None,
         rules: AssociationRules | None = None,
         min_interception_domains: int = 5,

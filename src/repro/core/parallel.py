@@ -55,7 +55,6 @@ import hashlib
 import json
 import multiprocessing
 import pickle
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -80,39 +79,16 @@ from repro.core.supervisor import (
 )
 from repro.zeek.files import TsvDirectorySource
 from repro.zeek.ingest import (
-    _UNSET_ARG,
     ErrorPolicy,
     FastPath,
     IngestOptions,
     IngestReport,
     RecordSource,
-    resolve_ingest_options,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.faults import WorkerFaultPlan
     from repro.trust.store import TrustBundle
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One unit of parallel work: a month of ssl.log plus the full
-    (deduplicated-on-load) x509 stream."""
-
-    month: str
-    ssl_paths: tuple[str, ...]
-    x509_paths: tuple[str, ...]
-
-    @classmethod
-    def from_discovery(
-        cls, triple: tuple[str, list[Path], list[Path]]
-    ) -> "ShardSpec":
-        month, ssl_paths, x509_paths = triple
-        return cls(
-            month=month,
-            ssl_paths=tuple(str(p) for p in ssl_paths),
-            x509_paths=tuple(str(p) for p in x509_paths),
-        )
 
 
 @dataclass(frozen=True)
@@ -663,20 +639,15 @@ class ShardExecutor:
         rules: AssociationRules | None = None,
         filter_interception: bool = True,
         min_interception_domains: int = 5,
-        on_error: object = _UNSET_ARG,
         names: tuple[str, ...] | None = None,
         jobs: int = 1,
         retry: RetryPolicy | None = None,
         degrade: DegradePolicy | str = DegradePolicy.STRICT,
         fault_plan=None,
         trace_path: str | Path | None = None,
-        fast_path: object = _UNSET_ARG,
         pipeline: Pipeline | str | bool | None = Pipeline.AUTO,
     ) -> None:
-        opts = resolve_ingest_options(
-            options, caller="ShardExecutor",
-            on_error=on_error, fast_path=fast_path,
-        )
+        opts = IngestOptions.coerce(options)
         if trace_path is None:
             # Inherit the process's configured sink so `tracing.configure`
             # in the driver propagates into worker processes.
@@ -720,26 +691,6 @@ class ShardExecutor:
             )
         else:
             source = TsvDirectorySource(directory)
-        return self.run_source(source, resume_dir=resume_dir)
-
-    def run(
-        self,
-        shards: list[ShardSpec],
-        *,
-        resume_dir: Path | str | None = None,
-    ) -> CampaignResult:
-        """Legacy entry point: explicit :class:`ShardSpec` lists.
-
-        Kept for pre-``RecordSource`` callers; wraps the specs in a
-        :class:`~repro.zeek.files.TsvDirectorySource` and delegates to
-        :meth:`run_source`.
-        """
-        if not shards:
-            raise ValueError("no shards to analyze")
-        specs = sorted(shards, key=lambda s: s.month)
-        source = TsvDirectorySource.from_shards(
-            (s.month, s.ssl_paths, s.x509_paths) for s in specs
-        )
         return self.run_source(source, resume_dir=resume_dir)
 
     def run_source(
@@ -967,15 +918,14 @@ class ShardExecutor:
 
 def analyze_directory(
     directory: Path | str,
-    *legacy_positional,
-    bundle: "TrustBundle | None" = None,
+    *,
+    bundle: "TrustBundle",
     ct_log: CtLookup | None = None,
     options: IngestOptions | None = None,
     store: Path | str | None = None,
     rules: AssociationRules | None = None,
     filter_interception: bool = True,
     min_interception_domains: int = 5,
-    on_error: object = _UNSET_ARG,
     names: tuple[str, ...] | None = None,
     jobs: int = 1,
     retry: RetryPolicy | None = None,
@@ -983,47 +933,18 @@ def analyze_directory(
     fault_plan: "WorkerFaultPlan | None" = None,
     resume_dir: Path | str | None = None,
     trace_path: str | Path | None = None,
-    fast_path: object = _UNSET_ARG,
     pipeline: Pipeline | str | bool | None = Pipeline.AUTO,
 ) -> CampaignResult:
     """One-call sharded analysis of a rotated Zeek archive.
 
-    ``bundle``/``ct_log`` are keyword-only and typed; the historical
-    positional form (``analyze_directory(dir, bundle, ct_log)``) still
-    works through a deprecation shim. With ``store``, the archive is
-    packed into a columnar store on first use and mapped from disk on
-    every later run (byte-identical results).
+    ``bundle`` (required) and ``ct_log`` are keyword-only. With
+    ``store``, the archive is packed into a columnar store on first use
+    and mapped from disk on every later run (byte-identical results).
     """
-    if legacy_positional:
-        if len(legacy_positional) > 2:
-            raise TypeError(
-                "analyze_directory takes at most three positional "
-                "arguments (directory, bundle, ct_log)"
-            )
-        if bundle is not None or (len(legacy_positional) > 1 and ct_log is not None):
-            raise TypeError(
-                "analyze_directory: bundle/ct_log passed both positionally "
-                "and by keyword"
-            )
-        warnings.warn(
-            "analyze_directory: positional bundle/ct_log are deprecated; "
-            "pass them as keywords",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        bundle = legacy_positional[0]
-        if len(legacy_positional) > 1:
-            ct_log = legacy_positional[1]
-    if bundle is None:
-        raise TypeError("analyze_directory: a trust bundle is required")
-    opts = resolve_ingest_options(
-        options, caller="analyze_directory",
-        on_error=on_error, fast_path=fast_path,
-    )
     executor = ShardExecutor(
         bundle,
         ct_log,
-        options=opts,
+        options=options,
         rules=rules,
         filter_interception=filter_interception,
         min_interception_domains=min_interception_domains,

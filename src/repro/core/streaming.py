@@ -46,14 +46,10 @@ from repro.zeek import (
     read_x509_log,
     x509_log_to_string,
 )
-from repro.zeek.ingest import _UNSET_ARG, IngestOptions, resolve_ingest_options
+from repro.zeek.ingest import IngestOptions
 
 #: Snapshot schema tag; bump on incompatible layout changes.
 SNAPSHOT_FORMAT = "streaming-analyzer/v2"
-
-#: The previous schema: per-certificate quadruplets and monthly counters
-#: at the top level, no embedded registry partial states.
-_SNAPSHOT_FORMAT_V1 = "streaming-analyzer/v1"
 
 
 def atomic_write_json(path: Path | str, payload: dict) -> Path:
@@ -100,12 +96,12 @@ class StreamingAnalyzer:
     when full, the oldest entries are evicted FIFO and any later ssl
     reference to an evicted fuid counts as ``dropped_dangling_fuid``.
 
-    ``fast_path`` controls the per-certificate fact cache (results are
-    identical either way; the cache only skips recomputing the public-CA
-    predicate for fingerprints already seen). Its contents and stats
-    ride along in snapshots, so a resumed run's cache behaviour — and
-    its ``streaming.certfacts.*`` counters — match an uninterrupted
-    run's.
+    ``options.fast_path`` controls the per-certificate fact cache
+    (results are identical either way; the cache only skips recomputing
+    the public-CA predicate for fingerprints already seen). Its contents
+    and stats ride along in snapshots, so a resumed run's cache
+    behaviour — and its ``streaming.certfacts.*`` counters — match an
+    uninterrupted run's.
     """
 
     def __init__(
@@ -114,12 +110,9 @@ class StreamingAnalyzer:
         *,
         options: IngestOptions | None = None,
         max_fuid_map: int | None = None,
-        fast_path: object = _UNSET_ARG,
         keep_records: bool = False,
     ) -> None:
-        opts = resolve_ingest_options(
-            options, caller="StreamingAnalyzer", fast_path=fast_path
-        )
+        opts = IngestOptions.coerce(options)
         if max_fuid_map is not None and max_fuid_map <= 0:
             raise ValueError("max_fuid_map must be positive (or None)")
         self.bundle = bundle
@@ -274,18 +267,12 @@ class StreamingAnalyzer:
 
     @classmethod
     def from_snapshot(cls, bundle: TrustBundle, snapshot: dict) -> "StreamingAnalyzer":
-        """Restore an analyzer from `to_snapshot()` output.
-
-        v1 snapshots (pre-registry layout) still load: their monthly
-        counters and certificate quadruplets map onto the figure1/table1
-        partial states, and fields v1 never tracked (the TLS 1.3 blind
-        spot) start from empty partials.
-        """
+        """Restore an analyzer from `to_snapshot()` output."""
         found = snapshot.get("format")
-        if found not in (SNAPSHOT_FORMAT, _SNAPSHOT_FORMAT_V1):
+        if found != SNAPSHOT_FORMAT:
             raise ValueError(
                 f"unsupported snapshot format {found!r} "
-                f"(expected {SNAPSHOT_FORMAT!r} or {_SNAPSHOT_FORMAT_V1!r})"
+                f"(expected {SNAPSHOT_FORMAT!r})"
             )
         # An explicit null under "certfacts" means the run had the fast
         # path off; a missing key (older snapshot) defaults to on with a
@@ -304,22 +291,10 @@ class StreamingAnalyzer:
         if certfacts is not None and analyzer._fact_cache is not None:
             analyzer._fact_cache.load_state(certfacts)
         analyzer._fuid_to_fp = dict(snapshot["fuid_to_fp"])
-        if found == _SNAPSHOT_FORMAT_V1:
-            analyzer._usage = CertUsageState.from_state(
-                {"certs": snapshot["certs"]}
-            )
-            analyzer._monthly = MonthlyShareState.from_state(
-                {
-                    "total": snapshot["monthly_total"],
-                    "mutual": snapshot["monthly_mutual"],
-                }
-            )
-            analyzer._tls13 = Tls13State()
-        else:
-            partials = snapshot["partials"]
-            analyzer._usage = CertUsageState.from_state(partials["table1"])
-            analyzer._monthly = MonthlyShareState.from_state(partials["figure1"])
-            analyzer._tls13 = Tls13State.from_state(partials["tls13"])
+        partials = snapshot["partials"]
+        analyzer._usage = CertUsageState.from_state(partials["table1"])
+        analyzer._monthly = MonthlyShareState.from_state(partials["figure1"])
+        analyzer._tls13 = Tls13State.from_state(partials["tls13"])
         analyzer.connections_seen = snapshot["connections_seen"]
         analyzer.dropped_unestablished = snapshot["dropped_unestablished"]
         analyzer.dropped_dangling_fuid = snapshot.get("dropped_dangling_fuid", 0)

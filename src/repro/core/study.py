@@ -41,7 +41,7 @@ from repro.zeek import (
     ssl_log_to_string,
     x509_log_to_string,
 )
-from repro.zeek.ingest import _UNSET_ARG, IngestOptions, resolve_ingest_options
+from repro.zeek.ingest import IngestOptions
 
 
 @dataclass
@@ -60,11 +60,11 @@ class StudyResult:
 class CampusStudy:
     """Reproduces the paper's study on a synthetic campus campaign.
 
-    With ``on_error`` set to ``skip``/``quarantine`` (or a ``fault_plan``
-    given), the generated campaign is serialized to Zeek TSV, optionally
-    corrupted by the fault plan, and re-ingested through the resilient
-    reader — the same path an operator's rotated archive takes — and the
-    study report gains an ingest-health section.
+    With ``options.on_error`` set to ``skip``/``quarantine`` (or a
+    ``fault_plan`` given), the generated campaign is serialized to Zeek
+    TSV, optionally corrupted by the fault plan, and re-ingested through
+    the resilient reader — the same path an operator's rotated archive
+    takes — and the study report gains an ingest-health section.
 
     ``jobs`` selects the execution strategy: ``0`` (default) analyzes
     in-process over the in-memory dataset; ``N >= 1`` round-trips the
@@ -80,19 +80,14 @@ class CampusStudy:
         connections_per_month: int = 2000,
         config: ScenarioConfig | None = None,
         filter_interception: bool = True,
-        on_error: object = _UNSET_ARG,
+        *,
         fault_plan: FaultPlan | None = None,
         jobs: int = 0,
-        fast_path: object = _UNSET_ARG,
-        *,
         options: IngestOptions | None = None,
         store: Path | str | None = None,
         pipeline: object = None,
     ) -> None:
-        opts = resolve_ingest_options(
-            options, caller="CampusStudy",
-            on_error=on_error, fast_path=fast_path,
-        )
+        opts = IngestOptions.coerce(options)
         self.config = config or ScenarioConfig(
             seed=seed, months=months, connections_per_month=connections_per_month
         )

@@ -29,7 +29,7 @@ critical section. Once a file is mapped the lock is released — the mmap
 pins the inode, so a later ``os.replace`` by a repack can never tear an
 open reader.
 
-Every ``read_month``/``read_all`` replays the verbatim ingest reports
+Every ``read_month`` replays the verbatim ingest reports
 recorded at pack time, which is what keeps ingest-health tables and
 campaign metrics byte-identical to a TSV-backed run.
 """
@@ -323,24 +323,6 @@ class ColumnarStoreSource:
             ssl_report=self._ssl_report(month),
             x509_report=self._x509_report(),
         )
-
-    def read_all(
-        self, options: IngestOptions
-    ) -> tuple[list[SslRecord], list[X509Record], IngestReport]:
-        self._check_options(options)
-        ssl: list[SslRecord] = []
-        report = options.report if options.report is not None else IngestReport()
-        for month in self._months:
-            ssl.extend(self._ssl_records(month))
-            report.merge(self._ssl_report(month))
-        # Shards are month-sorted but a hand-rotated file may carry a few
-        # out-of-window rows; the stable re-sort reproduces the TSV
-        # whole-capture ordering exactly (sorted-runs concat + stable
-        # sort == stable sort of the concatenated originals).
-        ssl.sort(key=lambda r: r.ts)
-        x509 = list(self._x509_records())
-        report.merge(self._x509_report())
-        return ssl, x509, report
 
     def identity(self) -> str:
         payload = {

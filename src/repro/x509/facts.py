@@ -2,10 +2,9 @@
 
 The paper's corpus shares certificates heavily across connections (the
 same service leaf shows up in thousands of rows), yet the enrichment
-layer historically re-derived issuer classification, validity math,
-dummy-pattern checks, and CN/SAN extraction once per *connection*.
-:class:`CertFactCache` memoizes those derivations per distinct
-certificate fingerprint behind a bounded LRU, so they run once per
+layer historically re-derived the public-CA classification once per
+*connection*. :class:`CertFactCache` memoizes it per distinct
+certificate fingerprint behind a bounded LRU, so it runs once per
 certificate instead.
 
 The cache is deliberately generic: it stores whatever a ``derive``
@@ -32,52 +31,26 @@ DEFAULT_MAX_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class CertFacts:
-    """Everything enrichment needs to know about one certificate.
+    """What enrichment needs to know about one certificate: whether a
+    public trust store vouches for its issuer.
 
-    Derived once per distinct fingerprint; all fields are plain JSON
+    Derived once per distinct fingerprint; both fields are plain JSON
     types so the container survives pickling (shard results) and JSON
     (streaming snapshots) unchanged.
     """
 
     fingerprint: str
     is_public: bool
-    issuer_org: str | None
-    issuer_cn: str | None
-    subject_cn: str | None
-    subject_org: str | None
-    dummy_issuer: bool
-    validity_days: float
-    inverted_validity: bool
-    san_dns: tuple[str, ...]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "is_public": self.is_public,
-            "issuer_org": self.issuer_org,
-            "issuer_cn": self.issuer_cn,
-            "subject_cn": self.subject_cn,
-            "subject_org": self.subject_org,
-            "dummy_issuer": self.dummy_issuer,
-            "validity_days": self.validity_days,
-            "inverted_validity": self.inverted_validity,
-            "san_dns": list(self.san_dns),
-        }
+        return {"fingerprint": self.fingerprint, "is_public": self.is_public}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CertFacts":
-        return cls(
-            fingerprint=data["fingerprint"],
-            is_public=data["is_public"],
-            issuer_org=data["issuer_org"],
-            issuer_cn=data["issuer_cn"],
-            subject_cn=data["subject_cn"],
-            subject_org=data["subject_org"],
-            dummy_issuer=data["dummy_issuer"],
-            validity_days=data["validity_days"],
-            inverted_validity=data["inverted_validity"],
-            san_dns=tuple(data["san_dns"]),
-        )
+        """Reads only the two fields: checkpoints written before
+        ``CertFacts`` shrank carry eight more per entry and must still
+        load."""
+        return cls(fingerprint=data["fingerprint"], is_public=data["is_public"])
 
 
 @dataclass

@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from repro.zeek.builder import ZeekLogs
-from repro.zeek.ingest import (
-    _UNSET_ARG,
-    IngestOptions,
-    IngestReport,
-    ShardRecords,
-    resolve_ingest_options,
-)
+from repro.zeek.ingest import IngestOptions, IngestReport, ShardRecords
 from repro.zeek.records import SslRecord, X509Record
 from repro.zeek.tsv import (
     TsvFormatError,
@@ -116,12 +110,7 @@ def discover_shards(directory: Path | str) -> list[tuple[str, list[Path], list[P
 
 
 def read_logs_directory(
-    directory: Path | str,
-    options: IngestOptions | None = None,
-    *,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
+    directory: Path | str, options: IngestOptions | None = None
 ) -> ZeekLogs:
     """Load every rotated ssl/x509 log file from a directory.
 
@@ -130,13 +119,9 @@ def read_logs_directory(
     log files at all. Under the ``skip``/``quarantine`` policies,
     malformed rows are dropped and accounted for in ``options.report``;
     pass an :class:`~repro.zeek.ingest.IngestOptions` with a report to
-    collect them. The ``on_error``/``report``/``fast_path`` keywords are
-    deprecated shims for the pre-options signature.
+    collect them.
     """
-    opts = resolve_ingest_options(
-        options, caller="read_logs_directory",
-        on_error=on_error, report=report, fast_path=fast_path,
-    )
+    opts = IngestOptions.coerce(options)
     directory = Path(directory)
     ssl_paths = list(directory.glob("ssl.*.log")) + list(directory.glob("ssl.*.log.gz"))
     x509_paths = list(directory.glob("x509.*.log")) + list(
@@ -233,8 +218,7 @@ class TsvDirectorySource:
         cls, shards: Iterable[tuple[str, Iterable[str], Iterable[str]]]
     ) -> "TsvDirectorySource":
         """Build a source from explicit ``(month, ssl_paths, x509_paths)``
-        triples (the legacy :class:`~repro.core.parallel.ShardSpec` shape)
-        without touching the filesystem."""
+        triples without touching the filesystem."""
         source = cls.__new__(cls)
         source.directory = ""
         source._shards = tuple(
@@ -310,22 +294,6 @@ class TsvDirectorySource:
         are loaded serially by the executor."""
         ssl_paths, _ = self._shard_paths(month)
         return MonthStream(month, ssl_paths, self, options)
-
-    def read_all(
-        self, options: IngestOptions
-    ) -> tuple[list[SslRecord], list[X509Record], IngestReport]:
-        report = options.report if options.report is not None else IngestReport()
-        ssl_paths = [Path(p) for _, paths, _ in self._shards for p in paths]
-        # x509 paths are broadcast per shard; deduplicate for the
-        # whole-capture read (every shard carries the full set).
-        x509_paths = sorted(
-            {p for _, _, paths in self._shards for p in paths}
-        )
-        ssl = _read_many(ssl_paths, read_ssl_log, options, report)
-        x509 = _read_many([Path(p) for p in x509_paths], read_x509_log, options, report)
-        ssl.sort(key=lambda r: r.ts)
-        x509.sort(key=lambda r: r.ts)
-        return ssl, x509, report
 
     def identity(self) -> str:
         """Stable identity of the shard *layout* (months and paths)."""

@@ -17,7 +17,6 @@ what fraction of the input it consumed.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
@@ -56,26 +55,22 @@ class ErrorPolicy(str, enum.Enum):
 class FastPath(str, enum.Enum):
     """Which decode engine readers and enrichers use.
 
-    ``off`` forces the reference per-field implementation; ``on`` the
-    compiled per-row fast path (PR 5); ``batch`` the vectorized
-    whole-buffer engine that decodes columns in bulk. ``auto`` resolves
-    to the library default (currently *batch*). All engines are proven
-    byte-identical by ``tests/differential``, so the modes exist only as
-    operator escape hatches and as differential baselines — never as
-    semantic switches.
+    ``off`` forces the reference per-field implementation (the
+    differential oracle); ``batch`` the vectorized whole-buffer engine
+    that decodes columns in bulk. ``auto`` resolves to the library
+    default, which is *batch*. The engines are proven byte-identical by
+    ``tests/differential``, so the modes exist only as operator escape
+    hatches and as differential baselines — never as semantic switches.
     """
 
-    ON = "on"
     OFF = "off"
     AUTO = "auto"
     BATCH = "batch"
 
     @classmethod
-    def coerce(cls, value: "FastPath | str | bool") -> "FastPath":
+    def coerce(cls, value: "FastPath | str") -> "FastPath":
         if isinstance(value, cls):
             return value
-        if isinstance(value, bool):
-            return cls.ON if value else cls.OFF
         try:
             return cls(value)
         except ValueError:
@@ -86,13 +81,8 @@ class FastPath(str, enum.Enum):
 
     @property
     def enabled(self) -> bool:
+        """Whether the batch engine (and the fact cache) is in use."""
         return self is not FastPath.OFF
-
-    @property
-    def batched(self) -> bool:
-        """Whether readers use the vectorized whole-buffer engine
-        (``auto`` promotes to batch; ``on`` keeps the per-row path)."""
-        return self in (FastPath.BATCH, FastPath.AUTO)
 
 
 @dataclass(frozen=True)
@@ -289,11 +279,6 @@ class IngestReport:
 # The unified ingestion surface: one options object, one source protocol
 # ---------------------------------------------------------------------------
 
-#: Sentinel distinguishing "caller did not pass this legacy kwarg" from
-#: every real value (None included).
-_UNSET_ARG = object()
-
-
 @dataclass(frozen=True)
 class IngestOptions:
     """Everything a reader needs to know about *how* to ingest.
@@ -341,47 +326,6 @@ class IngestOptions:
         return {"on_error": self.on_error.value}
 
 
-def resolve_ingest_options(
-    options: "IngestOptions | None",
-    *,
-    caller: str,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    path: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
-) -> IngestOptions:
-    """Shim glue for the pre-``IngestOptions`` keyword signatures.
-
-    Explicitly-passed legacy kwargs still work but raise a
-    :class:`DeprecationWarning` naming the caller; they may not be mixed
-    with an explicit ``options`` object (ambiguous intent).
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("on_error", on_error),
-            ("report", report),
-            ("path", path),
-            ("fast_path", fast_path),
-        )
-        if value is not _UNSET_ARG
-    }
-    if not legacy:
-        return IngestOptions.coerce(options)
-    if options is not None:
-        raise TypeError(
-            f"{caller}: pass either an IngestOptions object or the legacy "
-            f"keywords ({', '.join(sorted(legacy))}), not both"
-        )
-    warnings.warn(
-        f"{caller}: the {', '.join(sorted(legacy))} keyword(s) are "
-        "deprecated; pass an IngestOptions object instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return IngestOptions(**legacy)
-
-
 @dataclass
 class ShardRecords:
     """One month of records as served by a :class:`RecordSource`.
@@ -419,12 +363,6 @@ class RecordSource(Protocol):
 
     def read_month(self, month: str, options: IngestOptions) -> ShardRecords:
         """Load one shard (plus the broadcast x509 stream)."""
-        ...
-
-    def read_all(
-        self, options: IngestOptions
-    ) -> "tuple[list[SslRecord], list[X509Record], IngestReport]":
-        """The whole capture, timestamp-sorted, with merged accounting."""
         ...
 
     def identity(self) -> str:

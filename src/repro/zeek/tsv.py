@@ -28,14 +28,7 @@ import itertools as _it
 import sys as _sys
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from repro.zeek.ingest import (
-    _UNSET_ARG,
-    ErrorPolicy,
-    FastPath,
-    IngestOptions,
-    IngestReport,
-    resolve_ingest_options,
-)
+from repro.zeek.ingest import ErrorPolicy, FastPath, IngestOptions, IngestReport
 from repro.zeek.records import SslRecord, X509Record
 
 _UNSET = "-"
@@ -282,19 +275,20 @@ _X509_PARSERS: list[tuple[str, Callable]] = [
 
 
 # ---------------------------------------------------------------------------
-# Fast path: compiled per-schema row decoders
+# Fast converters and the compiled row decoder
 #
 # The slow path above is the executable reference spec: one parser call
-# per field, dispatched through `_LogReader._handle_row`. The fast path
-# compiles the whole row decode into a single generated function (one
-# dict literal, one bound converter per column) and memoizes the
-# converters for high-repetition columns (versions, ciphers, issuer
-# DNs, ports, validity timestamps). Every converter below is
-# value-for-value identical to its slow counterpart — the differential
-# suite (`tests/differential/`) proves it on clean, corrupt, and
-# adversarial input — and any anomaly at decode time falls back to the
-# slow `_handle_row`, so errors and IngestReport accounting are
-# byte-identical by construction.
+# per field, dispatched through `_LogReader._handle_row`. The batch
+# engine below converts whole columns with the converters defined here,
+# memoized for high-repetition columns (versions, ciphers, issuer DNs,
+# ports, validity timestamps). A run the batch engine rejects replays
+# row by row through a compiled row decoder (one generated function per
+# schema and column order: one dict literal, one bound converter per
+# column). Every converter is value-for-value identical to its slow
+# counterpart — the differential suite (`tests/differential/`) proves it
+# on clean, corrupt, and adversarial input — and any anomaly at decode
+# time falls back to the slow `_handle_row`, so errors and IngestReport
+# accounting are byte-identical by construction.
 # ---------------------------------------------------------------------------
 
 #: Bound on each memoized converter's cache. The cache is *cleared* (not
@@ -494,17 +488,16 @@ def _compile_decoder(
 # ---------------------------------------------------------------------------
 # Batch engine: whole-buffer splitting + columnar bulk decode
 #
-# The next tier past the compiled row decoder: read the stream in large
-# chunks, split record boundaries once per chunk, and decode *columns*
-# in bulk — a run of same-shaped rows is flattened with one
-# `"\t".join(run).split("\t")` and each column is materialized as a
-# zero-copy stride slice pushed through one C-level `map` (or one
-# set-deduplicated memo fill) per column. Only then are records
-# assembled, so a failing run leaves the output untouched and replays
-# row-by-row through the reference `_handle_row` path — errors,
-# IngestReport accounting, and quarantine stay byte-identical by
-# construction (proven by tests/differential and the splitter property
-# suite).
+# Read the stream in large chunks, split record boundaries once per
+# chunk, and decode *columns* in bulk — a run of same-shaped rows is
+# flattened with one `"\t".join(run).split("\t")` and each column is
+# materialized as a zero-copy stride slice pushed through one C-level
+# `map` (or one set-deduplicated memo fill) per column. Only then are
+# records assembled, so a failing run leaves the output untouched and
+# replays row by row through the compiled row decoder and the reference
+# `_handle_row` path — errors, IngestReport accounting, and quarantine
+# stay byte-identical by construction (proven by tests/differential and
+# the splitter property suite).
 # ---------------------------------------------------------------------------
 
 #: Default read-buffer size for the batch engine. Output is invariant
@@ -707,9 +700,8 @@ class _LogReader:
         policy: ErrorPolicy,
         report: IngestReport | None,
         path: str | None,
+        fast_converters: Callable[[], list[tuple[str, Callable | None]]],
         *,
-        fast: bool = False,
-        fast_converters: Callable[[], list[tuple[str, Callable | None]]] | None = None,
         batched: bool = False,
         chunk_chars: int | None = None,
     ) -> None:
@@ -726,10 +718,9 @@ class _LogReader:
         self.header_usable = False
         self.path_rejected = False
         self.saw_close = False
-        self.fast = fast and fast_converters is not None
-        #: Batch (columnar) engine; requires the fast converters too —
-        #: the replay path for anomalous runs is the compiled row decoder.
-        self.batched = batched and self.fast
+        #: The batch (columnar) engine; otherwise every row goes through
+        #: the reference `_handle_row`.
+        self.batched = batched
         self.chunk_chars = chunk_chars
         self._fast_converters = fast_converters
         #: column-order key -> compiled decoder (one per permutation).
@@ -905,17 +896,19 @@ class _LogReader:
                 records.extend(batch)
             return records
         self.report.files_read += 1
-        if self.fast:
-            records = self._read_fast(source)
-        else:
-            records = self._read_slow(source)
+        records = self._read_slow(source)
+        self._account_close()
+        return records
+
+    def _account_close(self) -> None:
+        """End-of-file accounting: a file without ``#close`` counts as
+        missing its footer."""
         if not self.saw_close:
             self.report.files_missing_close += 1
             self.report.record_header_issue(
                 path=self.path, line_number=0, category="missing-close",
                 reason="no #close footer (writer crashed mid-rotation?)",
             )
-        return records
 
     def _read_slow(self, source: TextIO) -> list:
         records = []
@@ -944,57 +937,6 @@ class _LogReader:
                 self.factory, self._fast_converters(), self.permutation
             )
         return decoder
-
-    def _read_fast(self, source: TextIO) -> list:
-        """Whole-stream decode through the compiled per-schema decoder.
-
-        Any anomaly — unusable header state, wrong cell count, converter
-        failure, truncated final line — replays that row through the
-        slow `_handle_row`, which produces byte-identical records,
-        errors, and IngestReport accounting. Successful decodes are
-        counted in a batch and flushed in ``finally`` so a strict-policy
-        raise leaves the report exactly as the slow path would.
-        """
-        lines = source.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-            last_complete = True
-        else:
-            last_complete = False
-        #: Highest line number that is a *complete* line.
-        limit = len(lines) if last_complete else len(lines) - 1
-        records: list = []
-        append = records.append
-        expected = len(self.field_names)
-        decode = self._decoder_for_state()
-        ok = 0
-        try:
-            for line_number, line in enumerate(lines, start=1):
-                if not line:
-                    continue
-                if line[0] == "#":
-                    self._handle_header(line, line_number)
-                    decode = self._decoder_for_state()
-                    continue
-                if decode is not None and line_number <= limit:
-                    cells = line.split("\t")
-                    if len(cells) == expected:
-                        try:
-                            record = decode(cells)
-                        except Exception:
-                            record = self._handle_row(line, line_number, True)
-                            if record is not None:
-                                append(record)
-                            continue
-                        append(record)
-                        ok += 1
-                        continue
-                record = self._handle_row(line, line_number, line_number <= limit)
-                if record is not None:
-                    append(record)
-        finally:
-            self.report.rows_ok += ok
-        return records
 
     # ------------------------------------------------------------- batch engine
 
@@ -1043,7 +985,7 @@ class _LogReader:
     def _replay_run(self, run: list[str], start: int, records: list) -> None:
         """A run the bulk decoder rejected, replayed row by row through
         the compiled row decoder with the reference `_handle_row`
-        fallback — errors, drops, and quarantine match the per-row fast
+        fallback — errors, drops, and quarantine match the reference
         path exactly (``ok`` flushed in ``finally`` so a strict-policy
         raise leaves the report as the reference path would)."""
         decode = self._decoder_for_state()
@@ -1189,89 +1131,36 @@ class _LogReader:
                 record = self._handle_row(pending, line_number, False)
                 if record is not None:
                     yield [record]
-        if not self.saw_close:
-            self.report.files_missing_close += 1
-            self.report.record_header_issue(
-                path=self.path, line_number=0, category="missing-close",
-                reason="no #close footer (writer crashed mid-rotation?)",
-            )
+        self._account_close()
 
 
 def read_ssl_log(
-    source: TextIO,
-    options: IngestOptions | None = None,
-    *,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    path: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
+    source: TextIO, options: IngestOptions | None = None
 ) -> list[SslRecord]:
     """Parse a Zeek-format ssl.log stream under :class:`IngestOptions`.
 
-    ``options.fast_path`` selects the compiled decoder (``on``/``auto``)
+    ``options.fast_path`` selects the batch engine (``batch``/``auto``)
     or the reference per-field implementation (``off``); both produce
-    byte-identical records, errors, and reports. The ``on_error`` /
-    ``report`` / ``path`` / ``fast_path`` keywords are deprecated shims
-    for the pre-options signature.
+    byte-identical records, errors, and reports.
     """
-    opts = resolve_ingest_options(
-        options, caller="read_ssl_log",
-        on_error=on_error, report=report, path=path, fast_path=fast_path,
-    )
-    reader = _LogReader(
-        "ssl", _SSL_FIELDS, _SSL_PARSERS, SslRecord,
-        opts.on_error, opts.report,
-        opts.path or getattr(source, "name", None),
-        fast=opts.fast_path.enabled,
-        fast_converters=_ssl_fast_converters,
-        batched=opts.fast_path.batched,
-        chunk_chars=opts.batch_chunk_chars,
-    )
-    return reader.read(source)
+    return _reader("ssl", source, IngestOptions.coerce(options)).read(source)
 
 
 def read_x509_log(
-    source: TextIO,
-    options: IngestOptions | None = None,
-    *,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    path: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
+    source: TextIO, options: IngestOptions | None = None
 ) -> list[X509Record]:
-    """Parse a Zeek-format x509.log stream under :class:`IngestOptions`.
-
-    ``options.fast_path`` selects the compiled decoder (``on``/``auto``)
-    or the reference per-field implementation (``off``); both produce
-    byte-identical records, errors, and reports. The ``on_error`` /
-    ``report`` / ``path`` / ``fast_path`` keywords are deprecated shims
-    for the pre-options signature.
-    """
-    opts = resolve_ingest_options(
-        options, caller="read_x509_log",
-        on_error=on_error, report=report, path=path, fast_path=fast_path,
-    )
-    reader = _LogReader(
-        "x509", _X509_FIELDS, _X509_PARSERS, X509Record,
-        opts.on_error, opts.report,
-        opts.path or getattr(source, "name", None),
-        fast=opts.fast_path.enabled,
-        fast_converters=_x509_fast_converters,
-        batched=opts.fast_path.batched,
-        chunk_chars=opts.batch_chunk_chars,
-    )
-    return reader.read(source)
+    """Parse a Zeek-format x509.log stream; see :func:`read_ssl_log`."""
+    return _reader("x509", source, IngestOptions.coerce(options)).read(source)
 
 
-def _batch_reader(kind: str, source: TextIO, opts: IngestOptions) -> _LogReader:
+def _reader(kind: str, source: TextIO, opts: IngestOptions) -> _LogReader:
     fields, parsers, factory, converters = TailDecoder._SCHEMAS[kind]
     return _LogReader(
         kind, fields, parsers, factory,
         opts.on_error, opts.report,
         opts.path or getattr(source, "name", None),
-        fast=opts.fast_path.enabled,
-        fast_converters=converters,
-        batched=opts.fast_path.batched,
+        converters,
+        batched=opts.fast_path.enabled,
         chunk_chars=opts.batch_chunk_chars,
     )
 
@@ -1282,12 +1171,11 @@ def iter_ssl_log_batches(
     """Decoded ssl.log record batches, one per read buffer.
 
     The pipelined-ingest entry point: batches stream out while the rest
-    of the file is still unread. Under a non-batched ``fast_path`` mode
-    the whole stream is yielded as a single batch, so consumers work —
-    and stay byte-identical — under every mode.
+    of the file is still unread. Under ``fast_path="off"`` the whole
+    stream is yielded as a single batch, so consumers work — and stay
+    byte-identical — under every mode.
     """
-    opts = IngestOptions.coerce(options)
-    reader = _batch_reader("ssl", source, opts)
+    reader = _reader("ssl", source, IngestOptions.coerce(options))
     if reader.batched:
         return reader.iter_batches(source)
     return iter((reader.read(source),))
@@ -1297,8 +1185,7 @@ def iter_x509_log_batches(
     source: TextIO, options: IngestOptions | None = None
 ) -> Iterator[list[X509Record]]:
     """Decoded x509.log record batches; see :func:`iter_ssl_log_batches`."""
-    opts = IngestOptions.coerce(options)
-    reader = _batch_reader("x509", source, opts)
+    reader = _reader("x509", source, IngestOptions.coerce(options))
     if reader.batched:
         return reader.iter_batches(source)
     return iter((reader.read(source),))
@@ -1310,8 +1197,8 @@ class TailDecoder:
     Built for tailing a file that is still being written: feed arbitrary
     chunks of text as they become readable and complete lines are
     decoded immediately — through the same header handling, error
-    policy, fast path, and :class:`IngestReport` accounting as the batch
-    readers. An unterminated trailing line (a mid-write read) is
+    policy, decode engine, and :class:`IngestReport` accounting as the
+    whole-file readers. An unterminated trailing line (a mid-write read) is
     *buffered*, never dropped or miscounted; it decodes once its newline
     arrives in a later chunk. Only :meth:`finish` — called when the file
     instance truly ends (rotation drained, truncation, writer gone) —
@@ -1338,7 +1225,7 @@ class TailDecoder:
         on_error: ErrorPolicy | str = ErrorPolicy.STRICT,
         report: IngestReport | None = None,
         path: str | None = None,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str = FastPath.AUTO,
         count_file: bool = True,
     ) -> None:
         try:
@@ -1346,13 +1233,10 @@ class TailDecoder:
         except KeyError:
             raise ValueError(f"unknown log kind {kind!r}") from None
         self.kind = kind
-        mode = FastPath.coerce(fast_path)
         self._reader = _LogReader(
             kind, fields, parsers, factory,
-            ErrorPolicy.coerce(on_error), report, path,
-            fast=mode.enabled,
-            fast_converters=converters,
-            batched=mode.batched,
+            ErrorPolicy.coerce(on_error), report, path, converters,
+            batched=FastPath.coerce(fast_path).enabled,
         )
         if count_file:
             self._reader.report.files_read += 1
@@ -1392,38 +1276,16 @@ class TailDecoder:
                 lines, self._line_number, records
             )
             return records
-        append = records.append
-        expected = len(reader.field_names)
-        decode = reader._decoder_for_state() if reader.fast else None
-        ok = 0
-        try:
-            for line in lines:
-                self._line_number += 1
-                if not line:
-                    continue
-                if line[0] == "#":
-                    reader._handle_header(line, self._line_number)
-                    if reader.fast:
-                        decode = reader._decoder_for_state()
-                    continue
-                if decode is not None:
-                    cells = line.split("\t")
-                    if len(cells) == expected:
-                        try:
-                            record = decode(cells)
-                        except Exception:
-                            record = reader._handle_row(line, self._line_number, True)
-                            if record is not None:
-                                append(record)
-                            continue
-                        append(record)
-                        ok += 1
-                        continue
-                record = reader._handle_row(line, self._line_number, True)
-                if record is not None:
-                    append(record)
-        finally:
-            reader.report.rows_ok += ok
+        for line in lines:
+            self._line_number += 1
+            if not line:
+                continue
+            if line[0] == "#":
+                reader._handle_header(line, self._line_number)
+                continue
+            record = reader._handle_row(line, self._line_number, True)
+            if record is not None:
+                records.append(record)
         return records
 
     def finish(self) -> list:
@@ -1445,12 +1307,7 @@ class TailDecoder:
                 record = reader._handle_row(line, self._line_number, False)
                 if record is not None:
                     records.append(record)
-        if not reader.saw_close:
-            reader.report.files_missing_close += 1
-            reader.report.record_header_issue(
-                path=reader.path, line_number=0, category="missing-close",
-                reason="no #close footer (writer crashed mid-rotation?)",
-            )
+        reader._account_close()
         return records
 
     def state_dict(self) -> dict:

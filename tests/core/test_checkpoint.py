@@ -94,11 +94,28 @@ class TestSnapshotResume:
         encoded = json.dumps(analyzer.to_snapshot())
         assert json.loads(encoded)["format"] == SNAPSHOT_FORMAT
 
-    def test_wrong_format_rejected(self, simulation):
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            {"format": "streaming-analyzer/v0"},
+            # The pre-registry layout: counters at the top level, no
+            # embedded partials. Its reader is gone.
+            {
+                "format": "streaming-analyzer/v1",
+                "max_fuid_map": None,
+                "fuid_to_fp": {},
+                "certs": {},
+                "monthly_total": {},
+                "monthly_mutual": {},
+                "connections_seen": 0,
+                "dropped_unestablished": 0,
+            },
+        ],
+        ids=["v0", "v1"],
+    )
+    def test_wrong_format_rejected(self, simulation, snapshot):
         with pytest.raises(ValueError, match="unsupported snapshot format"):
-            StreamingAnalyzer.from_snapshot(
-                simulation.trust_bundle, {"format": "streaming-analyzer/v0"}
-            )
+            StreamingAnalyzer.from_snapshot(simulation.trust_bundle, snapshot)
 
 
 class TestCheckpointFile:
@@ -158,23 +175,7 @@ class TestBoundedFuidMap:
 
 
 class TestSnapshotUpgrade:
-    """v1 snapshots (pre-registry layout) must still load into v2."""
-
-    def _v1_snapshot(self, analyzer):
-        """Downgrade a v2 snapshot to the exact v1 on-disk layout."""
-        v2 = analyzer.to_snapshot()
-        return {
-            "format": "streaming-analyzer/v1",
-            "max_fuid_map": v2["max_fuid_map"],
-            "fuid_to_fp": v2["fuid_to_fp"],
-            "certs": v2["partials"]["table1"]["certs"],
-            "monthly_total": v2["partials"]["figure1"]["total"],
-            "monthly_mutual": v2["partials"]["figure1"]["mutual"],
-            "connections_seen": v2["connections_seen"],
-            "dropped_unestablished": v2["dropped_unestablished"],
-            "dropped_dangling_fuid": v2["dropped_dangling_fuid"],
-            "fuid_evictions": v2["fuid_evictions"],
-        }
+    """The v2 layout embeds the registry partial states."""
 
     def test_format_is_v2(self, simulation):
         assert SNAPSHOT_FORMAT == "streaming-analyzer/v2"
@@ -184,37 +185,6 @@ class TestSnapshotUpgrade:
     def test_v2_embeds_registry_partials(self, simulation):
         snapshot = _run(simulation, _months(simulation)).to_snapshot()
         assert set(snapshot["partials"]) == {"figure1", "table1", "tls13"}
-
-    def test_v1_loads_with_empty_new_fields(self, simulation):
-        analyzer = _run(simulation, _months(simulation))
-        v1 = self._v1_snapshot(analyzer)
-        restored = StreamingAnalyzer.from_snapshot(
-            simulation.trust_bundle, json.loads(json.dumps(v1))
-        )
-        # Everything v1 tracked survives ...
-        assert restored.monthly_mutual_share() == analyzer.monthly_mutual_share()
-        assert restored.certificate_statistics() == analyzer.certificate_statistics()
-        assert restored.connections_seen == analyzer.connections_seen
-        # ... and the field v1 never had starts empty.
-        assert restored.tls13_blindspot().total_connections == 0
-
-    def test_v1_resume_continues_correctly(self, simulation):
-        """Resume from a v1 checkpoint mid-stream; old aggregates match
-        an uninterrupted run (the blind spot only covers the tail)."""
-        months = _months(simulation)
-        uninterrupted = _run(simulation, months)
-        first = _run(simulation, months[:2])
-        v1 = self._v1_snapshot(first)
-        resumed = StreamingAnalyzer.from_snapshot(simulation.trust_bundle, v1)
-        for ssl, x509 in months[2:]:
-            resumed.add_month(ssl, x509)
-        assert resumed.monthly_mutual_share() == uninterrupted.monthly_mutual_share()
-        assert (
-            resumed.certificate_statistics()
-            == uninterrupted.certificate_statistics()
-        )
-        tail = sum(1 for ssl, _ in months[2:] for r in ssl if r.established)
-        assert resumed.tls13_blindspot().total_connections == tail
 
     def test_unknown_format_still_rejected(self, simulation):
         analyzer = _run(simulation, _months(simulation))

@@ -1,4 +1,4 @@
-"""IngestOptions / RecordSource API: shims, warnings, and coercion."""
+"""IngestOptions / RecordSource API: coercion and the one spelling."""
 
 import io
 import warnings
@@ -16,9 +16,10 @@ from repro.zeek import (
     IngestReport,
     RecordSource,
     read_ssl_log,
+    read_x509_log,
     ssl_log_to_string,
 )
-from repro.zeek.files import TsvDirectorySource
+from repro.zeek.files import TsvDirectorySource, read_logs_directory
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +49,15 @@ class TestIngestOptions:
         assert derived.report is report
 
     def test_identity_excludes_fast_path(self):
-        fast = IngestOptions(fast_path="on")
+        fast = IngestOptions(fast_path="batch")
         slow = IngestOptions(fast_path="off")
         assert fast.identity() == slow.identity()
         assert IngestOptions(on_error="skip").identity() != fast.identity()
+
+    def test_options_path_is_silent(self, ssl_text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            read_ssl_log(io.StringIO(ssl_text), IngestOptions())
 
     def test_sources_satisfy_protocol(self, tmp_path, simulation):
         from repro.zeek.files import write_rotated_logs
@@ -60,67 +66,59 @@ class TestIngestOptions:
         assert isinstance(TsvDirectorySource(tmp_path), RecordSource)
 
 
-class TestReaderShims:
-    def test_legacy_kwargs_warn_and_match(self, ssl_text):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = read_ssl_log(io.StringIO(ssl_text), on_error="skip")
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "read_ssl_log" in str(w.message)
-            for w in caught
-        )
-        current = read_ssl_log(
-            io.StringIO(ssl_text), IngestOptions(on_error="skip")
-        )
-        assert legacy == current
+class TestLegacySpellings:
+    """The pre-``IngestOptions`` keywords and the positional bundle are
+    gone: each old spelling is now a plain ``TypeError``."""
 
-    def test_options_path_is_silent(self, ssl_text):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            read_ssl_log(io.StringIO(ssl_text), IngestOptions())
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim, text: read_ssl_log(io.StringIO(text), on_error="skip"),
+            lambda sim, text: read_ssl_log(
+                io.StringIO(text), IngestOptions(), on_error="skip"
+            ),
+            lambda sim, text: read_ssl_log(io.StringIO(text), report=IngestReport()),
+            lambda sim, text: read_ssl_log(io.StringIO(text), path="ssl.log"),
+            lambda sim, text: read_x509_log(io.StringIO(text), fast_path="off"),
+            lambda sim, text: read_logs_directory(".", on_error="skip"),
+            lambda sim, text: ShardExecutor(sim.trust_bundle, on_error="skip"),
+            lambda sim, text: ShardExecutor(sim.trust_bundle, fast_path="off"),
+            lambda sim, text: analyze_directory(
+                ".", bundle=sim.trust_bundle, on_error="skip"
+            ),
+            lambda sim, text: analyze_directory(
+                ".", bundle=sim.trust_bundle, fast_path="off"
+            ),
+            lambda sim, text: analyze_directory(".", sim.trust_bundle),
+            lambda sim, text: CampusStudy(seed=1, months=1, on_error="skip"),
+            lambda sim, text: CampusStudy(seed=1, months=1, fast_path="off"),
+            lambda sim, text: CampusStudy(1, 1, 10, None, True, "skip"),
+            lambda sim, text: StreamingAnalyzer(sim.trust_bundle, fast_path="off"),
+        ],
+        ids=[
+            "read_ssl_log-on_error", "read_ssl_log-mixed", "read_ssl_log-report",
+            "read_ssl_log-path", "read_x509_log-fast_path",
+            "read_logs_directory-on_error",
+            "ShardExecutor-on_error", "ShardExecutor-fast_path",
+            "analyze_directory-on_error", "analyze_directory-fast_path",
+            "analyze_directory-positional",
+            "CampusStudy-on_error", "CampusStudy-fast_path",
+            "CampusStudy-positional",
+            "StreamingAnalyzer-fast_path",
+        ],
+    )
+    def test_type_error(self, call, simulation, ssl_text):
+        with pytest.raises(TypeError, match="argument"):
+            call(simulation, ssl_text)
 
-    def test_mixing_options_and_kwargs_rejected(self, ssl_text):
-        with pytest.raises(TypeError, match="not both"):
-            read_ssl_log(
-                io.StringIO(ssl_text), IngestOptions(), on_error="skip"
-            )
-
-
-class TestPipelineShims:
-    def test_streaming_analyzer_fast_path_kwarg_warns(self, simulation):
-        with pytest.deprecated_call(match="StreamingAnalyzer"):
-            analyzer = StreamingAnalyzer(
-                simulation.trust_bundle, fast_path="off"
-            )
-        assert analyzer.fast_path is FastPath.OFF
-
-    def test_campus_study_on_error_kwarg_warns(self):
-        with pytest.deprecated_call(match="CampusStudy"):
-            study = CampusStudy(
-                seed=1, months=1, connections_per_month=10, on_error="skip"
-            )
-        assert study.options.on_error is ErrorPolicy.SKIP
-
-    def test_shard_executor_kwarg_warns(self, simulation):
-        with pytest.deprecated_call(match="ShardExecutor"):
-            executor = ShardExecutor(
-                simulation.trust_bundle, on_error="quarantine"
-            )
-        assert executor.config.on_error is ErrorPolicy.QUARANTINE
+    def test_fast_path_on_is_gone(self):
+        with pytest.raises(ValueError, match="unknown fast-path mode"):
+            IngestOptions(fast_path="on")
+        with pytest.raises(ValueError, match="unknown fast-path mode"):
+            IngestOptions(fast_path=True)
 
 
 class TestAnalyzeDirectorySignature:
-    def test_positional_bundle_warns(self, simulation, tmp_path):
-        from repro.zeek.files import write_rotated_logs
-
-        write_rotated_logs(simulation.logs, tmp_path)
-        with pytest.deprecated_call(match="positional bundle"):
-            legacy = analyze_directory(tmp_path, simulation.trust_bundle)
-        current = analyze_directory(tmp_path, bundle=simulation.trust_bundle)
-        assert {n: str(p.finalize()) for n, p in legacy.partials.items()} == \
-            {n: str(p.finalize()) for n, p in current.partials.items()}
-
     def test_bundle_required(self, tmp_path):
         with pytest.raises(TypeError, match="bundle"):
             analyze_directory(tmp_path)
@@ -134,7 +132,9 @@ class TestAnalyzeDirectorySignature:
     def test_duplicated_positional_and_keyword_rejected(
         self, simulation, tmp_path
     ):
-        with pytest.raises(TypeError, match="bundle"):
+        # ``bundle`` is keyword-only, so the positional copy is the one
+        # Python's own signature check rejects.
+        with pytest.raises(TypeError, match="positional argument"):
             analyze_directory(
                 tmp_path, simulation.trust_bundle,
                 bundle=simulation.trust_bundle,

@@ -20,6 +20,7 @@ from repro.core.livetail import (
 from repro.core.parallel import analyze_directory
 from repro.core.streaming import StreamingAnalyzer, load_checkpoint_json
 from repro.netsim import LiveLogWriter, ScenarioConfig, TrafficGenerator
+from repro.zeek import IngestOptions
 from tests.core import profile_state
 
 
@@ -35,7 +36,9 @@ def _key(record):
 
 
 def _batch_tables(directory, bundle):
-    campaign = analyze_directory(directory, bundle, on_error="skip")
+    campaign = analyze_directory(
+        directory, bundle=bundle, options=IngestOptions(on_error="skip")
+    )
     return {
         name: campaign.table(name).render() for name in campaign.partials
     }, campaign.ingest

@@ -19,6 +19,7 @@ import pytest
 from repro.core.parallel import analyze_directory
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig, TrafficGenerator
+from repro.zeek import IngestOptions
 from repro.zeek.files import write_rotated_logs
 
 CONFIG = ScenarioConfig(seed=31, months=5, connections_per_month=150)
@@ -41,7 +42,8 @@ def test_jobs4_counters_equal_jobs1(archive):
     states = {}
     for jobs in (1, 4):
         campaign = analyze_directory(
-            directory, simulation.trust_bundle, simulation.ct_log, jobs=jobs
+            directory, bundle=simulation.trust_bundle,
+            ct_log=simulation.ct_log, jobs=jobs,
         )
         assert campaign.metrics is not None
         states[jobs] = campaign.metrics.state_dict()
@@ -55,7 +57,9 @@ def test_jobs4_counters_equal_jobs1(archive):
 def test_study_jobs_counters_match_inline_ingest_totals():
     """The sharded ingest counters agree with the rows the campaign
     actually contains (cross-check against the in-memory dataset)."""
-    study = CampusStudy(config=CONFIG, jobs=2, on_error="skip")
+    study = CampusStudy(
+        config=CONFIG, jobs=2, options=IngestOptions(on_error="skip")
+    )
     study.partials()
     counters = study.metrics.state_dict()["counters"]
     inline = CampusStudy(config=CONFIG)

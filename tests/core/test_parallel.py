@@ -10,7 +10,8 @@ from repro.core.enrich import Enricher
 from repro.core.parallel import CampaignResult, ShardExecutor, analyze_directory
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig, TrafficGenerator
-from repro.zeek.files import discover_shards, write_rotated_logs
+from repro.zeek import IngestOptions
+from repro.zeek.files import TsvDirectorySource, discover_shards, write_rotated_logs
 from repro.zeek.tsv import read_x509_log
 
 pytestmark = pytest.mark.usefixtures("supervision_watchdog")
@@ -66,20 +67,20 @@ class TestDiscovery:
 class TestExecutorEquivalence:
     def test_inline_matches_sequential(self, archive, simulation, sequential_tables):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=1
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=1
         )
         assert [t.render() for t in campaign.tables()] == sequential_tables
 
     def test_parallel_matches_sequential(self, archive, simulation, sequential_tables):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=3
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=3
         )
         assert [t.render() for t in campaign.tables()] == sequential_tables
         assert campaign.jobs == 3
 
     def test_jobs_capped_at_shard_count(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=64
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=64
         )
         assert campaign.jobs == _SCENARIO.months
 
@@ -91,7 +92,7 @@ class TestExecutorEquivalence:
         )
         expected = enricher.enrich(dataset).interception
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=2
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=2
         )
         assert campaign.interception.flagged_issuers == expected.flagged_issuers
         assert (
@@ -105,7 +106,7 @@ class TestExecutorEquivalence:
 
     def test_names_subset(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
             names=("table1", "figure1"), jobs=1,
         )
         assert sorted(campaign.partials) == ["figure1", "table1"]
@@ -115,7 +116,7 @@ class TestExecutorEquivalence:
     def test_result_unknown_name_lists_known(self, archive, simulation):
         """result() is as helpful as table() about what exists."""
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
             names=("table1", "figure1"), jobs=1,
         )
         with pytest.raises(KeyError, match="have: table1, figure1"):
@@ -142,8 +143,8 @@ class TestExecutorEquivalence:
 
     def test_ingest_accounting_counts_x509_once(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
-            on_error="skip", jobs=2,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
+            options=IngestOptions(on_error="skip"), jobs=2,
         )
         assert campaign.ingest.rows_ok == len(simulation.logs.ssl) + len(
             simulation.logs.x509
@@ -158,9 +159,9 @@ class TestExecutorEquivalence:
 
         decoded = []
 
-        def counting_read_x509_log(source, options=None, **kwargs):
+        def counting_read_x509_log(source, options=None):
             decoded.append(options.path)
-            return read_x509_log(source, options, **kwargs)
+            return read_x509_log(source, options)
 
         monkeypatch.setattr(files, "read_x509_log", counting_read_x509_log)
         analyze_directory(
@@ -174,11 +175,11 @@ class TestExecutorEquivalence:
     def test_empty_shard_list_rejected(self, simulation):
         executor = ShardExecutor(simulation.trust_bundle)
         with pytest.raises(ValueError, match="no shards"):
-            executor.run([])
+            executor.run_source(TsvDirectorySource.from_shards([]))
 
     def test_campaign_result_picklable(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=1
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=1
         )
         clone = pickle.loads(pickle.dumps(campaign))
         assert isinstance(clone, CampaignResult)
@@ -218,12 +219,13 @@ class TestStudyJobs:
 
     def test_lenient_policy_matches_through_shards(self):
         """on_error=skip over clean logs: same tables, plus ingest health."""
+        skip = IngestOptions(on_error="skip")
         base = CampusStudy(
-            seed=41, months=3, connections_per_month=200, on_error="skip"
+            seed=41, months=3, connections_per_month=200, options=skip
         )
         sharded = CampusStudy(
             seed=41, months=3, connections_per_month=200,
-            on_error="skip", jobs=2,
+            options=skip, jobs=2,
         )
         ref = [t.render() for t in base.all_tables()]
         got = [t.render() for t in sharded.all_tables()]

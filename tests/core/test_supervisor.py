@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core.enrich import InterceptionScan
-from repro.core.parallel import ShardExecutor, ShardSpec, analyze_directory
+from repro.core.parallel import ShardExecutor, analyze_directory
 from repro.core.report import render_run_health
 from repro.core.supervisor import (
     CampaignDegradedError,
@@ -28,7 +28,7 @@ from repro.netsim import (
     TransientWorkerFault,
     WorkerFaultPlan,
 )
-from repro.zeek.files import discover_shards, write_rotated_logs
+from repro.zeek.files import TsvDirectorySource, discover_shards, write_rotated_logs
 
 pytestmark = pytest.mark.usefixtures("supervision_watchdog")
 
@@ -63,7 +63,7 @@ def months(archive):
 @pytest.fixture(scope="module")
 def clean_campaign(archive, simulation):
     return analyze_directory(
-        archive, simulation.trust_bundle, simulation.ct_log, jobs=2
+        archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=2
     )
 
 
@@ -75,19 +75,17 @@ def clean_tables(clean_campaign):
 def _run(archive, simulation, **kwargs):
     kwargs.setdefault("retry", FAST_RETRY)
     return analyze_directory(
-        archive, simulation.trust_bundle, simulation.ct_log, **kwargs
+        archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, **kwargs
     )
 
 
 def _restricted_tables(archive, simulation, excluded: str):
     """A clean run over every shard except ``excluded``."""
-    specs = [
-        ShardSpec.from_discovery(t)
-        for t in discover_shards(archive)
-        if t[0] != excluded
-    ]
+    source = TsvDirectorySource.from_shards(
+        t for t in discover_shards(archive) if t[0] != excluded
+    )
     executor = ShardExecutor(simulation.trust_bundle, simulation.ct_log, jobs=2)
-    return [t.render() for t in executor.run(specs).tables()]
+    return [t.render() for t in executor.run_source(source).tables()]
 
 
 class TestPolicies:
@@ -335,7 +333,7 @@ class TestResume:
         _run(archive, simulation, jobs=1, resume_dir=run_dir)
         with pytest.raises(ValueError, match="different campaign"):
             analyze_directory(
-                archive, simulation.trust_bundle, simulation.ct_log,
+                archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
                 jobs=1, min_interception_domains=9, resume_dir=run_dir,
             )
 

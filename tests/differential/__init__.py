@@ -1,12 +1,12 @@
-"""Differential harness: fast and batch paths vs the reference path.
+"""Differential harness: the batch engine vs the reference path.
 
-The fast ingest decoders (:mod:`repro.zeek.tsv`) and the per-certificate
+The batch ingest decoder (:mod:`repro.zeek.tsv`) and the per-certificate
 fact cache (:mod:`repro.x509.facts`) promise *byte-identical* results to
 the slow reference implementations. These helpers run the same input
-through all three decoder tiers — ``off`` (reference per-field), ``on``
-(compiled per-row), ``batch`` (vectorized whole-buffer) — and assert
-total equivalence: records, ingest reports, and — under the strict
-policy — the raised error's full context.
+through both decoder engines — ``off`` (reference per-field) and
+``batch`` (vectorized whole-buffer) — and assert total equivalence:
+records, ingest reports, and — under the strict policy — the raised
+error's full context.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ def corpus_texts(
     return ssl_log_to_string(logs.ssl), x509_log_to_string(logs.x509)
 
 
-#: Decoder tiers under differential test. A bool still selects the
-#: historical pair (True → "on").
-MODES = ("off", "on", "batch")
+#: Decoder engines under differential test.
+MODES = ("off", "batch")
 
 #: Chunk size used for the batch leg: small enough that every corpus
 #: spans many read buffers, so chunk-boundary record splitting is
@@ -56,19 +55,16 @@ def read_one(
     kind: str,
     text: str,
     policy: ErrorPolicy | str,
-    mode: bool | str,
+    mode: str,
     chunk_chars: int | None = None,
 ) -> tuple[list, IngestReport, TsvFormatError | None]:
     """Run one (kind, policy, mode) combination to completion.
 
-    ``mode`` is a decoder tier (``"off"``/``"on"``/``"batch"``); a bool
-    keeps the historical two-way signature (True → ``"on"``). A
-    strict-mode failure is captured, not propagated: the error object
-    is part of the equivalence contract and must be compared too. The
-    report returned on failure is the partial report at raise time.
+    ``mode`` is a decoder engine (``"off"``/``"batch"``). A strict-mode
+    failure is captured, not propagated: the error object is part of the
+    equivalence contract and must be compared too. The report returned
+    on failure is the partial report at raise time.
     """
-    if isinstance(mode, bool):
-        mode = "on" if mode else "off"
     report = IngestReport()
     reader = _READERS[kind]
     options = IngestOptions(
@@ -102,17 +98,14 @@ def _error_context(error: TsvFormatError | None):
 
 
 def assert_equivalent(kind: str, text: str, policy: ErrorPolicy | str) -> None:
-    """All three decoder tiers must agree on records, report, and error
-    context — the reference (``off``) leg is the ground truth."""
+    """The batch engine must agree with the reference (``off``) leg, the
+    ground truth, on records, report, and error context."""
     slow_records, slow_report, slow_error = read_one(kind, text, policy, "off")
-    for mode in ("on", "batch"):
-        records, report, error = read_one(kind, text, policy, mode)
-        assert _error_context(error) == _error_context(slow_error), mode
-        assert len(records) == len(slow_records), mode
-        assert records == slow_records, mode
-        # Hash/eq agreement is not enough for a *byte*-identical claim:
-        # repr exposes every field verbatim.
-        assert [repr(r) for r in records] == [
-            repr(r) for r in slow_records
-        ], mode
-        assert report.to_dict() == slow_report.to_dict(), mode
+    records, report, error = read_one(kind, text, policy, "batch")
+    assert _error_context(error) == _error_context(slow_error)
+    assert len(records) == len(slow_records)
+    assert records == slow_records
+    # Hash/eq agreement is not enough for a *byte*-identical claim:
+    # repr exposes every field verbatim.
+    assert [repr(r) for r in records] == [repr(r) for r in slow_records]
+    assert report.to_dict() == slow_report.to_dict()

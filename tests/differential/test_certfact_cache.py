@@ -7,6 +7,7 @@ snapshots round-trip with their LRU order intact.
 """
 
 import datetime as dt
+import json
 import pickle
 
 import pytest
@@ -151,3 +152,46 @@ def test_new_fact_cache_matches_direct_derivation():
         )
     assert len(cache) == 2
     assert cache.stats.evictions == len(POPULATION) - 2
+
+
+def _nine_field_entry(record: X509Record) -> dict:
+    """A cache entry in the shape checkpoints held before ``CertFacts``
+    kept only its two read fields: eight more derivations beside them."""
+    return {
+        "fingerprint": record.fingerprint,
+        "is_public": BUNDLE.is_public(record),
+        "issuer_org": record.issuer_org,
+        "issuer_cn": record.issuer_cn,
+        "subject_cn": record.subject_cn,
+        "subject_org": record.subject_org,
+        "dummy_issuer": record.issuer_org == "Internet Widgits Pty Ltd",
+        "validity_days": record.validity_days,
+        "inverted_validity": record.has_inverted_validity,
+        "san_dns": list(record.san_dns),
+    }
+
+
+def test_nine_field_snapshot_restores_same_answers_and_stats():
+    stream = [0, 1, 2, 0, 3, 4, 1, 5, 6, 2, 7, 0, 8, 9, 3, 1]
+    half = len(stream) // 2
+    straight = new_fact_cache(BUNDLE, max_entries=4)
+    for index in stream:
+        straight.get(POPULATION[index].fingerprint, POPULATION[index])
+
+    first = new_fact_cache(BUNDLE, max_entries=4)
+    for index in stream[:half]:
+        first.get(POPULATION[index].fingerprint, POPULATION[index])
+    old_shape = first.state_dict()
+    by_fingerprint = {record.fingerprint: record for record in POPULATION}
+    old_shape["entries"] = {
+        fp: _nine_field_entry(by_fingerprint[fp]) for fp in old_shape["entries"]
+    }
+
+    resumed = new_fact_cache(BUNDLE)
+    resumed.load_state(json.loads(json.dumps(old_shape)))
+    assert resumed.stats.to_dict() == first.stats.to_dict()
+    for index in stream[half:]:
+        record = POPULATION[index]
+        facts = resumed.get(record.fingerprint, record)
+        assert facts.is_public == BUNDLE.is_public(record)
+    assert resumed.state_dict() == straight.state_dict()

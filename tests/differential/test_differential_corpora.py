@@ -1,8 +1,8 @@
 """Differential suite over corpora: clean, corrupted, and end-to-end.
 
-Every test runs the same input through the fast path and the reference
-path and asserts total equivalence — the acceptance contract of the
-fast ingest/enrich engine.
+Every test runs the same input through the batch engine and the
+reference path and asserts total equivalence — the acceptance contract
+of the fast ingest/enrich engine.
 """
 
 import pytest
@@ -11,6 +11,7 @@ from repro.core.parallel import analyze_directory
 from repro.core.streaming import StreamingAnalyzer
 from repro.core.study import CampusStudy
 from repro.netsim import FaultPlan, LogCorruptor, ScenarioConfig, TrafficGenerator
+from repro.zeek import IngestOptions
 from repro.zeek.files import write_rotated_logs
 
 from tests.differential import KINDS, POLICIES, assert_equivalent, corpus_texts
@@ -79,35 +80,36 @@ def test_headerless_tail(texts, kind, policy):
 
 def _study(fast_path: str) -> CampusStudy:
     return CampusStudy(
-        config=STUDY_CONFIG, on_error="skip", fast_path=fast_path
+        config=STUDY_CONFIG,
+        options=IngestOptions(on_error="skip", fast_path=fast_path),
     )
 
 
 @pytest.fixture(scope="module")
 def study_pair():
-    on, off = _study("on"), _study("off")
-    on.run(), off.run()
-    return on, off
+    batch, off = _study("batch"), _study("off")
+    batch.run(), off.run()
+    return batch, off
 
 
 def test_study_tables_identical(study_pair):
-    on, off = study_pair
-    on_tables = {t.title: t.render() for t in on.all_tables()}
+    batch, off = study_pair
+    batch_tables = {t.title: t.render() for t in batch.all_tables()}
     off_tables = {t.title: t.render() for t in off.all_tables()}
-    assert on_tables == off_tables
+    assert batch_tables == off_tables
 
 
 def test_study_ingest_reports_identical(study_pair):
-    on, off = study_pair
+    batch, off = study_pair
     assert (
-        on.run().ingest_report.to_dict() == off.run().ingest_report.to_dict()
+        batch.run().ingest_report.to_dict() == off.run().ingest_report.to_dict()
     )
 
 
 def test_study_cache_metrics_present(study_pair):
-    on, off = study_pair
-    on.partials(), off.partials()
-    counters = on.metrics.counters
+    batch, off = study_pair
+    batch.partials(), off.partials()
+    counters = batch.metrics.counters
     assert counters.get("certfacts.enrich.hits", 0) > 0
     assert counters.get("certfacts.enrich.misses", 0) > 0
     assert "certfacts.enrich.hits" not in off.metrics.counters
@@ -120,8 +122,8 @@ def test_sharded_campaign_identical(tmp_path):
 
     def run(mode):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
-            on_error="skip", jobs=1, fast_path=mode,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
+            options=IngestOptions(on_error="skip", fast_path=mode), jobs=1,
         )
         return (
             {t.title: t.render() for t in campaign.tables()},
@@ -129,11 +131,11 @@ def test_sharded_campaign_identical(tmp_path):
             campaign.dangling_fuid_refs,
         )
 
-    on_tables, on_ingest, on_dangling = run("on")
+    batch_tables, batch_ingest, batch_dangling = run("batch")
     off_tables, off_ingest, off_dangling = run("off")
-    assert on_tables == off_tables
-    assert on_ingest == off_ingest
-    assert on_dangling == off_dangling
+    assert batch_tables == off_tables
+    assert batch_ingest == off_ingest
+    assert batch_dangling == off_dangling
 
 
 def _streaming_views(analyzer: StreamingAnalyzer):
@@ -151,38 +153,40 @@ def test_streaming_identical_and_resumable():
     logs, bundle = simulation.logs, simulation.trust_bundle
     half = len(logs.x509) // 2
 
-    on = StreamingAnalyzer(bundle, fast_path="on")
-    off = StreamingAnalyzer(bundle, fast_path="off")
-    for analyzer in (on, off):
+    batch = StreamingAnalyzer(bundle, options=IngestOptions(fast_path="batch"))
+    off = StreamingAnalyzer(bundle, options=IngestOptions(fast_path="off"))
+    for analyzer in (batch, off):
         analyzer.add_month(logs.ssl, logs.x509)
-    assert _streaming_views(on) == _streaming_views(off)
+    assert _streaming_views(batch) == _streaming_views(off)
 
     # Snapshot mid-stream with a warm cache, resume, finish: identical
     # to the uninterrupted run — including the cache counters.
-    interrupted = StreamingAnalyzer(bundle, fast_path="on")
+    interrupted = StreamingAnalyzer(
+        bundle, options=IngestOptions(fast_path="batch")
+    )
     interrupted.add_x509(logs.x509[:half])
     resumed = StreamingAnalyzer.from_snapshot(
         bundle, interrupted.to_snapshot()
     )
     resumed.add_x509(logs.x509[half:])
     resumed.add_ssl(logs.ssl)
-    assert _streaming_views(resumed) == _streaming_views(on)
+    assert _streaming_views(resumed) == _streaming_views(batch)
     resumed._sync_cache_metrics()
-    on._sync_cache_metrics()
+    batch._sync_cache_metrics()
     assert {
         name: value
         for name, value in resumed.metrics.counters.items()
         if name.startswith("streaming.certfacts.")
     } == {
         name: value
-        for name, value in on.metrics.counters.items()
+        for name, value in batch.metrics.counters.items()
         if name.startswith("streaming.certfacts.")
     }
 
 
 def test_streaming_snapshot_preserves_fast_path_off():
     bundle = TrafficGenerator(STUDY_CONFIG).generate().trust_bundle
-    off = StreamingAnalyzer(bundle, fast_path="off")
+    off = StreamingAnalyzer(bundle, options=IngestOptions(fast_path="off"))
     snapshot = off.to_snapshot()
     assert snapshot["certfacts"] is None
     restored = StreamingAnalyzer.from_snapshot(bundle, snapshot)

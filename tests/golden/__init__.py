@@ -24,7 +24,7 @@ from typing import Any
 from repro.core import protocol
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig
-from repro.zeek import ssl_log_to_string, x509_log_to_string
+from repro.zeek import IngestOptions, ssl_log_to_string, x509_log_to_string
 
 GOLDEN_DIR = Path(__file__).parent
 EXPECTED_PATH = GOLDEN_DIR / "expected.json"
@@ -46,7 +46,8 @@ def build_study(
     the fast-vs-slow comparison (lenient legs re-ingest through the TSV
     reader, which is what exercises the decoders)."""
     return CampusStudy(
-        config=GOLDEN_CONFIG, fast_path=fast_path, on_error=on_error
+        config=GOLDEN_CONFIG,
+        options=IngestOptions(fast_path=fast_path, on_error=on_error),
     )
 
 

@@ -68,20 +68,20 @@ def test_suite_catches_one_line_perturbation(study, expected):
 @pytest.fixture(scope="module")
 def fast_legs():
     """Two full pipeline runs over the corpus in the same session: the
-    fast path on and off, both re-ingesting through the TSV reader
-    (``on_error="skip"``) so the decoders actually run."""
-    on = golden.build_study(fast_path="on", on_error="skip")
+    batch engine and the reference path, both re-ingesting through the
+    TSV reader (``on_error="skip"``) so the decoders actually run."""
+    batch = golden.build_study(fast_path="batch", on_error="skip")
     off = golden.build_study(fast_path="off", on_error="skip")
-    return on, off
+    return batch, off
 
 
 @pytest.mark.parametrize("name", golden.analysis_names())
 def test_fast_leg_matches_slow_leg(fast_legs, name):
-    on, off = fast_legs
-    fast_table = golden.table_to_json(on.table(name))
+    batch, off = fast_legs
+    fast_table = golden.table_to_json(batch.table(name))
     slow_table = golden.table_to_json(off.table(name))
     assert fast_table == slow_table, (
-        f"analysis {name!r} differs between --fast-path on and off — the "
+        f"analysis {name!r} differs between --fast-path batch and off — the "
         "byte-identical contract is broken:\n"
         + golden.diff_tables(slow_table, fast_table)
     )
@@ -91,8 +91,8 @@ def test_fast_leg_matches_slow_leg(fast_legs, name):
 def test_fast_leg_matches_golden(fast_legs, expected, name):
     """The fast path through the *reader* still lands on the pinned
     expectations (round-trip fidelity plus decoder equivalence)."""
-    on, _ = fast_legs
-    actual = golden.table_to_json(on.table(name))
+    batch, _ = fast_legs
+    actual = golden.table_to_json(batch.table(name))
     pinned = expected["tables"][name]
     assert actual == pinned, (
         f"fast-path analysis {name!r} drifted from the golden "
@@ -101,9 +101,9 @@ def test_fast_leg_matches_golden(fast_legs, expected, name):
 
 
 def test_fast_legs_agree_on_ingest_report(fast_legs):
-    on, off = fast_legs
+    batch, off = fast_legs
     assert (
-        on.run().ingest_report.to_dict() == off.run().ingest_report.to_dict()
+        batch.run().ingest_report.to_dict() == off.run().ingest_report.to_dict()
     )
 
 

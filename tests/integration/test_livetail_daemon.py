@@ -23,6 +23,7 @@ import pytest
 from repro.cli import _write_trust_bundle, load_trust_bundle
 from repro.core.parallel import analyze_directory
 from repro.netsim import LiveLogWriter, ScenarioConfig, TrafficGenerator
+from repro.zeek import IngestOptions
 
 pytestmark = [pytest.mark.slow, pytest.mark.chaos]
 
@@ -183,7 +184,8 @@ class TestChaosEquivalence:
                 proc.wait(timeout=10)
 
         campaign = analyze_directory(
-            logdir, load_trust_bundle(bundle_file), on_error="skip"
+            logdir, bundle=load_trust_bundle(bundle_file),
+            options=IngestOptions(on_error="skip"),
         )
         batch = campaign.ingest
         merged = {

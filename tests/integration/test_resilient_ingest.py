@@ -12,6 +12,7 @@ from repro.core.study import CampusStudy
 from repro.netsim import FaultPlan, LogCorruptor
 from repro.zeek import (
     ErrorPolicy,
+    IngestOptions,
     IngestReport,
     TsvFormatError,
     read_ssl_log,
@@ -34,7 +35,7 @@ def clean_study():
 def quarantine_study():
     return CampusStudy(
         **CONFIG,
-        on_error="quarantine",
+        options=IngestOptions(on_error="quarantine"),
         fault_plan=FaultPlan.uniform(FAULT_RATE, seed=29),
     )
 
@@ -43,7 +44,7 @@ class TestFaultedCampaignRecovers:
     @pytest.mark.parametrize("policy", ["skip", "quarantine"])
     def test_run_completes_under_lenient_policies(self, policy):
         study = CampusStudy(
-            **CONFIG, on_error=policy,
+            **CONFIG, options=IngestOptions(on_error=policy),
             fault_plan=FaultPlan.uniform(FAULT_RATE, seed=29),
         )
         result = study.run()
@@ -130,7 +131,10 @@ class TestStrictCorpusContext:
         assert corrupted != text
         reader = read_ssl_log if kind == "ssl" else read_x509_log
         with pytest.raises(TsvFormatError) as excinfo:
-            reader(io.StringIO(corrupted), path=f"/archive/{kind}.log")
+            reader(
+                io.StringIO(corrupted),
+                IngestOptions(path=f"/archive/{kind}.log"),
+            )
         err = excinfo.value
         assert err.path == f"/archive/{kind}.log"
         assert err.line_number is not None and err.line_number > 0
@@ -162,12 +166,9 @@ class TestStreamingResumeOnFaultedLogs:
             x509_log_to_string(simulation.logs.x509),
         )
         report = IngestReport()
-        ssl = read_ssl_log(
-            io.StringIO(ssl_out), on_error=ErrorPolicy.SKIP, report=report
-        )
-        x509 = read_x509_log(
-            io.StringIO(x509_out), on_error=ErrorPolicy.SKIP, report=report
-        )
+        options = IngestOptions(on_error=ErrorPolicy.SKIP, report=report)
+        ssl = read_ssl_log(io.StringIO(ssl_out), options)
+        x509 = read_x509_log(io.StringIO(x509_out), options)
 
         months = sorted({f"{r.ts:%Y-%m}" for r in ssl})
         by_month = {

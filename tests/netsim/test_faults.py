@@ -12,6 +12,7 @@ from repro.netsim import (
 )
 from repro.zeek import (
     ErrorPolicy,
+    IngestOptions,
     IngestReport,
     read_ssl_log,
     read_x509_log,
@@ -41,7 +42,8 @@ def _read(text, kind, policy=ErrorPolicy.SKIP):
     report = IngestReport()
     reader = read_ssl_log if kind == "ssl" else read_x509_log
     records = reader(
-        io.StringIO(text), on_error=policy, report=report, path=f"{kind}.log"
+        io.StringIO(text),
+        IngestOptions(on_error=policy, report=report, path=f"{kind}.log"),
     )
     return records, report
 
@@ -192,15 +194,10 @@ class TestExactAccounting:
         ssl_out, x509_out, summary = LogCorruptor(plan).corrupt_logs(
             ssl_text, x509_text
         )
-        report = IngestReport()
-        read_ssl_log(
-            io.StringIO(ssl_out), on_error=ErrorPolicy.SKIP,
-            report=report, path="ssl.log",
-        )
-        read_x509_log(
-            io.StringIO(x509_out), on_error=ErrorPolicy.SKIP,
-            report=report, path="x509.log",
-        )
+        options = IngestOptions(on_error=ErrorPolicy.SKIP, report=IngestReport())
+        read_ssl_log(io.StringIO(ssl_out), options.for_path("ssl.log"))
+        read_x509_log(io.StringIO(x509_out), options.for_path("x509.log"))
+        report = options.report
         assert report.rows_dropped == summary.expected_reader_drops
         assert report.truncated_final_lines == summary.truncated_records == 2
 

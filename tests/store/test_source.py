@@ -51,14 +51,6 @@ class TestEquivalence:
             assert got.ssl_report.to_dict() == expected.ssl_report.to_dict()
             assert got.x509_report.to_dict() == expected.x509_report.to_dict()
 
-    def test_read_all_identical(self, archive, store):
-        tsv = TsvDirectorySource(archive)
-        ssl_a, x509_a, report_a = tsv.read_all(OPTIONS)
-        ssl_b, x509_b, report_b = store.read_all(OPTIONS)
-        assert ssl_b == ssl_a
-        assert x509_b == x509_a
-        assert report_b.to_dict() == report_a.to_dict()
-
     def test_unknown_month(self, store):
         with pytest.raises(KeyError, match="1999-01"):
             store.read_month("1999-01", OPTIONS)

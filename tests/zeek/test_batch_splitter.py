@@ -162,7 +162,7 @@ class TestMemoBounds:
             path=f"{kind}.log",
         )
         source = io.StringIO(text)
-        reader = tsv._batch_reader(kind, source, opts)
+        reader = tsv._reader(kind, source, opts)
         return reader, reader.read(source)
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.zeek import (
     ErrorPolicy,
+    IngestOptions,
     IngestReport,
     SslRecord,
     TsvFormatError,
@@ -89,7 +90,8 @@ def _mutate_line(text: str, line_number: int, mutate) -> str:
 
 def _read_ssl(text, policy, report=None, path="ssl.log"):
     return read_ssl_log(
-        io.StringIO(text), on_error=policy, report=report, path=path
+        io.StringIO(text),
+        IngestOptions(on_error=policy, report=report, path=path),
     )
 
 
@@ -320,22 +322,24 @@ class TestX509Reader:
         text = _x509_text().replace("\t2048\t", "\t2O48\t")
         report = IngestReport()
         kept = read_x509_log(
-            io.StringIO(text), on_error=ErrorPolicy.QUARANTINE,
-            report=report, path="x509.log",
+            io.StringIO(text),
+            IngestOptions(
+                on_error=ErrorPolicy.QUARANTINE, report=report, path="x509.log"
+            ),
         )
         assert kept == []
         (issue,) = report.issues
         assert issue.field == "certificate.key_length"
         with pytest.raises(TsvFormatError) as excinfo:
-            read_x509_log(io.StringIO(text), path="x509.log")
+            read_x509_log(io.StringIO(text), IngestOptions(path="x509.log"))
         assert excinfo.value.field == "certificate.key_length"
 
     def test_report_merges_across_files(self):
         report = IngestReport()
         _read_ssl(_ssl_text(), ErrorPolicy.SKIP, report, path="ssl.log")
         read_x509_log(
-            io.StringIO(_x509_text()), on_error=ErrorPolicy.SKIP,
-            report=report, path="x509.log",
+            io.StringIO(_x509_text()),
+            IngestOptions(on_error=ErrorPolicy.SKIP, report=report, path="x509.log"),
         )
         assert report.files_read == 2
         assert report.rows_ok == 2

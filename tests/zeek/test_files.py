@@ -174,9 +174,11 @@ class TestBroadcastX509DecodedOnce:
             IngestOptions(fast_path="batch"),
             IngestOptions(fast_path="batch"),
             IngestOptions(fast_path="off"),
-            IngestOptions(fast_path="on"),
-            IngestOptions(fast_path="on", batch_chunk_chars=4096),
-            IngestOptions(fast_path="on", batch_chunk_chars=4096, on_error="skip"),
+            IngestOptions(fast_path="batch"),
+            IngestOptions(fast_path="batch", batch_chunk_chars=4096),
+            IngestOptions(
+                fast_path="batch", batch_chunk_chars=4096, on_error="skip"
+            ),
         ):
             reads.append(source.read_month(month, options).x509)
         assert len(x509_decodes) == 5 * files_per_decode

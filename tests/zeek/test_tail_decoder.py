@@ -14,6 +14,7 @@ import pytest
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek import (
     ErrorPolicy,
+    IngestOptions,
     IngestReport,
     TailDecoder,
     format_ssl_row,
@@ -46,7 +47,8 @@ def _batch(kind, text, on_error=ErrorPolicy.STRICT):
     report = IngestReport()
     reader = read_ssl_log if kind == "ssl" else read_x509_log
     records = reader(
-        io.StringIO(text), report=report, path=f"{kind}.log", on_error=on_error
+        io.StringIO(text),
+        IngestOptions(report=report, path=f"{kind}.log", on_error=on_error),
     )
     return records, report
 
