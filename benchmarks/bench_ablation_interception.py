@@ -27,9 +27,8 @@ def test_ablation_interception_filter(benchmark, study, simulation):
     unfiltered = benchmark(run_unfiltered)
     filtered = prevalence.certificate_statistics(study.enriched)
 
-    by_label = lambda rows: {r.label: r for r in rows}
-    off = by_label(unfiltered)
-    on = by_label(filtered)
+    off = {r.label: r for r in unfiltered}
+    on = {r.label: r for r in filtered}
 
     # The unfiltered dataset has strictly more (fake) private server certs.
     assert off["Server/Private"].total > on["Server/Private"].total

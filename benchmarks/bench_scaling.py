@@ -84,8 +84,8 @@ def _tile(text: str, rows: int) -> tuple[str, int]:
     """Corpus text grown to ``min(rows, MAX_TILE_ROWS)`` data rows by
     repeating the data-row block under one header."""
     lines = text.splitlines(keepends=True)
-    head = [l for l in lines if l.startswith("#") and not l.startswith("#close")]
-    body = [l for l in lines if not l.startswith("#")]
+    head = [ln for ln in lines if ln.startswith("#") and not ln.startswith("#close")]
+    body = [ln for ln in lines if not ln.startswith("#")]
     target = min(rows, MAX_TILE_ROWS)
     repeats = max(1, -(-target // len(body)))  # ceil division
     tiled_body = (body * repeats)[:target]

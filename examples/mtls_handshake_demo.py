@@ -85,7 +85,7 @@ def main() -> None:
 
     # 4. Dynamic protocol detection: TLS on port 20017 is still TLS.
     wire = encode_client_hello_preamble(sni="devices.campus.example")
-    print(f"\nDPD on a FileWave-style flow (port 20017):")
+    print("\nDPD on a FileWave-style flow (port 20017):")
     print(f"  looks_like_tls={looks_like_tls(wire)}, sni={extract_sni(wire)!r}")
     print(f"  (an HTTP flow: looks_like_tls="
           f"{looks_like_tls(b'GET / HTTP/1.1')})")

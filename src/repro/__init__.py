@@ -16,8 +16,7 @@ Quickstart::
     from repro.core.study import CampusStudy
 
     study = CampusStudy(seed=7, months=23, connections_per_month=2000)
-    dataset = study.generate()
-    print(study.certificate_statistics(dataset).render())
+    print(study.table1().render())      # Table 1: certificate statistics
 """
 
 __version__ = "1.0.0"

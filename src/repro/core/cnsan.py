@@ -351,8 +351,6 @@ def san_type_usage(
     enriched: EnrichedDataset, population: list[CertProfile] | None = None
 ) -> SanTypeUsage:
     """Measure explicit-SAN-type utilization and type conformance."""
-    from repro.text.domains import is_domain_like
-
     population = (
         _select_used_in_mutual(enriched.profiles)
         if population is None else population

@@ -102,7 +102,7 @@ def render_study_diff(diff: StudyDiff, max_rows: int = 40) -> Table:
     for table_diff in diff.table_diffs:
         for key, row_a, row_b in table_diff.changed_rows:
             if shown >= max_rows:
-                table.add_note(f"... more row changes suppressed")
+                table.add_note("... more row changes suppressed")
                 return table
             table.add_row(table_diff.title, key, " | ".join(row_a), " | ".join(row_b))
             shown += 1

@@ -198,13 +198,6 @@ class SerialCollisionReport:
             clients |= group.clients
         return clients
 
-    def top_serials(self, count: int = 5) -> list[str]:
-        counter: Counter = Counter()
-        for group in self.groups:
-            counter[group.serial] += len(group.fingerprints)
-        ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-        return [serial for serial, _ in ranked[:count]]
-
 
 class SerialCollisionsPartial(protocol.AnalysisPartial):
     """(issuer, serial) pairs covering >1 certificate (§5.1.2).

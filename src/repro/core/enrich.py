@@ -120,9 +120,6 @@ class EnrichedDataset:
     def mutual(self) -> list[EnrichedConn]:
         return [c for c in self.connections if c.is_mutual]
 
-    def mutual_profiles(self) -> dict[str, CertProfile]:
-        return {fp: p for fp, p in self.profiles.items() if p.used_in_mutual}
-
 
 def derive_cert_facts(record: X509Record, bundle: TrustBundle) -> CertFacts:
     """The per-certificate facts the pipeline consults repeatedly,

@@ -10,7 +10,7 @@ appearing on many servers (wildcard reuse or key sharing).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.enrich import EnrichedDataset
 from repro.core.report import Table

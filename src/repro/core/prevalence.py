@@ -10,17 +10,12 @@ wrappers over the partials.
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass
 
 from repro.core import protocol
 from repro.core.enrich import EnrichedConn, EnrichedDataset
 from repro.core.report import Table, fmt_count, percentage
-
-
-def month_label(ts: _dt.datetime) -> str:
-    """The 'YYYY-MM' rotation label used throughout the pipeline."""
-    return f"{ts.year:04d}-{ts.month:02d}"
+from repro.zeek.files import month_key
 
 
 @dataclass
@@ -198,7 +193,7 @@ class Figure1Partial(protocol.AnalysisPartial):
         self.state = MonthlyShareState()
 
     def update(self, conn: EnrichedConn) -> None:
-        self.state.observe(month_label(conn.view.ts), conn.is_mutual)
+        self.state.observe(month_key(conn.view.ts), conn.is_mutual)
 
     def merge(self, other: "Figure1Partial") -> None:
         self.state.merge(other.state)
@@ -321,7 +316,7 @@ def direction_split_series(enriched: EnrichedDataset) -> list[DirectionPoint]:
     outbound: dict[str, int] = {}
     labels: set[str] = set()
     for conn in enriched.connections:
-        label = month_label(conn.view.ts)
+        label = month_key(conn.view.ts)
         labels.add(label)
         if not conn.is_mutual:
             continue

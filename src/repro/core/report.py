@@ -138,7 +138,7 @@ def render_fsck(result) -> Table:
     counts = result.counts()
     summary = ", ".join(
         f"{counts[status]} {status}"
-        for status in ("ok", "repaired", "damaged", "missing", "unverifiable")
+        for status in ("ok", "repaired", "damaged", "missing")
         if counts.get(status)
     )
     table.add_note(f"{len(result.findings)} file(s): {summary or 'none'}")
@@ -152,17 +152,6 @@ def render_fsck(result) -> Table:
             "unrepairable (source missing, changed, or rebuild mismatch): "
             + ", ".join(result.unrepaired)
         )
-    if result.unverifiable:
-        table.add_note(
-            "legacy v1 store cannot detect corruption; repack to upgrade"
-        )
-    if result.ok and not result.unverifiable:
+    if result.ok:
         table.add_note("store verified: every file matches its checksums")
     return table
-
-
-def render_run_metrics(registry) -> Table:
-    """Run-metrics section: counters/gauges/histograms/timers from a
-    :class:`repro.core.metrics.MetricsRegistry` (duck-typed — only its
-    ``render()`` is used, keeping this module dependency-free)."""
-    return registry.render()

@@ -35,7 +35,6 @@ from repro.core.prevalence import (
     CertUsageState,
     MonthlyShare,
     MonthlyShareState,
-    month_label,
 )
 from repro.core.tuples import Tls13Blindspot, Tls13State
 from repro.trust import TrustBundle
@@ -46,6 +45,7 @@ from repro.zeek import (
     read_x509_log,
     x509_log_to_string,
 )
+from repro.zeek.files import month_key
 from repro.zeek.ingest import IngestOptions
 
 #: Snapshot schema tag; bump on incompatible layout changes.
@@ -180,7 +180,7 @@ class StreamingAnalyzer:
                 continue
             self.connections_seen += 1
             mutual = record.is_mutual
-            self._monthly.observe(month_label(record.ts), mutual)
+            self._monthly.observe(month_key(record.ts), mutual)
             self._tls13.observe(record)
             self._observe_leaf(record.server_leaf_fuid, "server", mutual)
             self._observe_leaf(record.client_leaf_fuid, "client", mutual)

@@ -88,26 +88,10 @@ def tls13_blindspot(dataset: MtlsDataset) -> Tls13Blindspot:
     Computed on the raw dataset (before interception filtering) — the
     blind spot is a property of the capture, not of the filtered view.
     """
-    server_ips: set[str] = set()
-    client_ips: set[str] = set()
-    tls13_servers: set[str] = set()
-    tls13_clients: set[str] = set()
-    tls13_connections = 0
+    state = Tls13State()
     for conn in dataset.connections:
-        server_ips.add(conn.ssl.id_resp_h)
-        client_ips.add(conn.ssl.id_orig_h)
-        if conn.ssl.version == "TLSv13":
-            tls13_connections += 1
-            tls13_servers.add(conn.ssl.id_resp_h)
-            tls13_clients.add(conn.ssl.id_orig_h)
-    return Tls13Blindspot(
-        total_connections=len(dataset.connections),
-        tls13_connections=tls13_connections,
-        total_server_ips=len(server_ips),
-        tls13_server_ips=len(tls13_servers),
-        total_client_ips=len(client_ips),
-        tls13_client_ips=len(tls13_clients),
-    )
+        state.observe(conn.ssl)
+    return state.result()
 
 
 def render_tls13_blindspot(blindspot: Tls13Blindspot) -> Table:

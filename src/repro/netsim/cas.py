@@ -140,10 +140,6 @@ class CaUniverse:
     def random_public(self) -> CertificateAuthority:
         return self.rng.choice(list(self._public_intermediates.values()))
 
-    @property
-    def public_labels(self) -> list[str]:
-        return list(self._public_intermediates)
-
     # Private CAs --------------------------------------------------------------
 
     def private(

@@ -660,6 +660,7 @@ class LiveLogWriter:
     def __init__(self, logs, directory) -> None:
         from pathlib import Path
 
+        from repro.zeek.files import month_key
         from repro.zeek.tsv import format_ssl_row, format_x509_row
 
         self.directory = Path(directory)
@@ -672,15 +673,12 @@ class LiveLogWriter:
         emitted = [False] * len(x509_sorted)
         events: list[tuple[str, str, str]] = []
 
-        def month(ts) -> str:
-            return f"{ts.year:04d}-{ts.month:02d}"
-
         def emit_x509(index: int) -> None:
             if not emitted[index]:
                 emitted[index] = True
                 record = x509_sorted[index]
                 events.append(
-                    ("x509", format_x509_row(record) + "\n", month(record.ts))
+                    ("x509", format_x509_row(record) + "\n", month_key(record.ts))
                 )
 
         next_x509 = 0
@@ -694,7 +692,7 @@ class LiveLogWriter:
             for fuid in (*row.cert_chain_fuids, *row.client_cert_chain_fuids):
                 for index in by_fuid.get(fuid, ()):
                     emit_x509(index)
-            events.append(("ssl", format_ssl_row(row) + "\n", month(row.ts)))
+            events.append(("ssl", format_ssl_row(row) + "\n", month_key(row.ts)))
         while next_x509 < len(x509_sorted):
             emit_x509(next_x509)
             next_x509 += 1
@@ -742,10 +740,6 @@ class LiveLogWriter:
     def remaining(self) -> int:
         """Events not yet (fully) written."""
         return len(self._events) - self._cursor
-
-    @property
-    def has_partial(self) -> bool:
-        return self._partial is not None
 
     def write_next(self, count: int = 1) -> int:
         """Write the next ``count`` interleaved lines (completing any

@@ -11,12 +11,16 @@ instead of re-parsing TSV, through the same
 implements — results are byte-identical by construction and proven so
 by the differential suite. See DESIGN.md §13.
 
-Since store format v2, every column file carries per-section CRC32
-checksums (verified on map), the manifest records every file's length
-and CRC32, all writes are crash-consistent via
-:mod:`repro.core.durable`, concurrent access is coordinated by an
-advisory :func:`~repro.store.source.store_lock`, and ``repro fsck``
-audits/repairs a store from its TSV source. See DESIGN.md §14.
+The store has one file format (codec 2, magic ``RPCOL2``) and one
+manifest format (``columnar-store/v2``): every column file carries a
+header CRC and per-section CRC32 checksums (verified as served), the
+manifest records every file's length and CRC32 and is read in one place
+(:func:`~repro.store.source.read_manifest`), all writes are
+crash-consistent via :mod:`repro.core.durable`, concurrent access is
+coordinated by an advisory :func:`~repro.store.source.store_lock`, and
+``repro fsck`` audits/repairs a store from its TSV source. A store in
+any other format is repacked from its archive, never read. See
+DESIGN.md §14.
 """
 
 from repro.store.codec import (
@@ -26,9 +30,7 @@ from repro.store.codec import (
     FLAG_SERVER_CHAIN,
     FLAG_TLS13,
     FLAG_RESUMED,
-    LEGACY_CODEC_VERSION,
     MAGIC,
-    MAGIC_V1,
     NULL_INDEX,
     ColumnTable,
     StoreFormatError,
@@ -37,7 +39,6 @@ from repro.store.codec import (
 )
 from repro.store.fsck import FsckFinding, FsckResult, fsck, heal_file
 from repro.store.pack import (
-    LEGACY_STORE_FORMAT,
     MANIFEST_NAME,
     STORE_FORMAT,
     ensure_store,
@@ -53,10 +54,7 @@ __all__ = [
     "FLAG_SERVER_CHAIN",
     "FLAG_TLS13",
     "FLAG_RESUMED",
-    "LEGACY_CODEC_VERSION",
-    "LEGACY_STORE_FORMAT",
     "MAGIC",
-    "MAGIC_V1",
     "MANIFEST_NAME",
     "NULL_INDEX",
     "STORE_FORMAT",

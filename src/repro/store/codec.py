@@ -10,16 +10,14 @@ partition) as fixed-width columns::
                 section lengths **and CRC32s** (in file order)
     sections    8-byte aligned, back to back
 
-Codec v2 adds integrity: every section carries a CRC32 in the header,
-the header itself is covered by the fixed-position header CRC, and
-readers verify the header at map time and each section the first time
-its bytes are served (see :class:`ColumnTable`), so a flipped bit is
-detected before a single damaged value can reach an analysis — while
-queries that slice a few columns never pay to CRC the columns they skip.
-v1 files (magic ``RPCOL1\\n\\0``, no
-checksums) still read, flagged ``integrity=False`` — the store source
-warns that such files cannot detect corruption and ``repro fsck``
-recommends a repack.
+Every section carries a CRC32 in the header, the header itself is
+covered by the fixed-position header CRC, and readers verify the header
+at map time and each section the first time its bytes are served (see
+:class:`ColumnTable`), so a flipped bit is detected before a single
+damaged value can reach an analysis — while queries that slice a few
+columns never pay to CRC the columns they skip. This is the only layout
+the codec reads or writes: any other magic is rejected as "bad magic",
+and a store holding such files is repacked from its TSV archive.
 
 Column storage types:
 
@@ -52,17 +50,14 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from repro.zeek.files import month_key
 from repro.zeek.records import SslRecord, X509Record
 
-#: Current (checksummed) container magic.
+#: Container magic (codec 2: header CRC plus per-section checksums).
 MAGIC = b"RPCOL2\n\x00"
-#: Legacy magic: identical layout minus the header CRC word and the
-#: per-section checksums. Still readable, with ``integrity=False``.
-MAGIC_V1 = b"RPCOL1\n\x00"
 CODEC_VERSION = 2
-LEGACY_CODEC_VERSION = 1
 
 #: Pool-index null sentinel for ``str?`` columns.
 NULL_INDEX = 0xFFFFFFFF
@@ -125,8 +120,9 @@ _LITTLE = sys.byteorder == "little"
 class StoreFormatError(Exception):
     """A column file or manifest that cannot be served.
 
-    Raised for bad magic, an unknown codec version, a truncated file,
-    or a policy/fingerprint mismatch between store and request.
+    Raised for bad magic, an unknown codec version, a truncated file, a
+    missing, torn or foreign-format manifest, or a policy/fingerprint
+    mismatch between store and request.
     """
 
 
@@ -135,9 +131,10 @@ class StoreIntegrityError(StoreFormatError):
 
     Distinct from :class:`StoreFormatError` proper because the response
     differs: a format error means the file was never ours (or predates
-    the codec), an integrity error means our file was *damaged after
-    writing* — bit rot, a torn write, a truncation — and is a candidate
-    for quarantine-and-repack (``repro fsck --repair``).
+    the codec) and the whole store is repacked, an integrity error means
+    our file was *damaged after writing* — bit rot, a torn write, a
+    truncation — and is a candidate for quarantine-and-repack
+    (``repro fsck --repair``).
     """
 
     def __init__(self, message: str, *, findings: list[str] | None = None) -> None:
@@ -161,10 +158,6 @@ def _to_micros(ts: _dt.datetime) -> int:
 
 def _from_micros(micros: int) -> _dt.datetime:
     return _EPOCH + _dt.timedelta(microseconds=micros)
-
-
-def month_of(ts: _dt.datetime) -> str:
-    return f"{ts.year:04d}-{ts.month:02d}"
 
 
 class _Pool:
@@ -240,7 +233,7 @@ def _encode_column(
 def _ssl_derived(records: Sequence[SslRecord], pool: _Pool) -> list[tuple]:
     """The ssl-only derived columns (month label + predicate bitmap)."""
     intern = pool.intern
-    months = array("I", [intern(month_of(r.ts)) for r in records])
+    months = array("I", [intern(month_key(r.ts)) for r in records])
     flags = bytearray(len(records))
     for i, r in enumerate(records):
         value = 0
@@ -261,16 +254,8 @@ def _ssl_derived(records: Sequence[SslRecord], pool: _Pool) -> list[tuple]:
     ]
 
 
-def pack_table(
-    kind: str, records: Sequence, *, codec_version: int = CODEC_VERSION
-) -> bytes:
-    """Serialize records of one table kind into one ``.col`` image.
-
-    ``codec_version=1`` emits the genuine legacy layout (v1 magic, no
-    checksums) — used by compatibility tests and nothing else.
-    """
-    if codec_version not in (CODEC_VERSION, LEGACY_CODEC_VERSION):
-        raise StoreFormatError(f"cannot write codec version {codec_version!r}")
+def pack_table(kind: str, records: Sequence) -> bytes:
+    """Serialize records of one table kind into one ``.col`` image."""
     try:
         schema, _ = _SCHEMAS[kind]
     except KeyError:
@@ -298,28 +283,27 @@ def pack_table(
     sections.append(("pool#offsets", "I", _typed_bytes(offsets)))
     sections.append(("pool#blob", "B", b"".join(blob_parts)))
 
-    checksummed = codec_version >= 2
     header = {
-        "codec": codec_version,
+        "codec": CODEC_VERSION,
         "kind": kind,
         "rows": len(records),
         "endian": "little",
         "pool_count": len(pool.strings),
         "columns": columns_meta,
         "sections": [
-            dict(
-                {"name": name, "fmt": fmt, "length": len(payload)},
-                **({"crc32": zlib.crc32(payload)} if checksummed else {}),
-            )
+            {
+                "name": name,
+                "fmt": fmt,
+                "length": len(payload),
+                "crc32": zlib.crc32(payload),
+            }
             for name, fmt, payload in sections
         ],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     out = bytearray()
-    out += MAGIC if checksummed else MAGIC_V1
-    out += struct.pack("<I", len(header_bytes))
-    if checksummed:
-        out += struct.pack("<I", zlib.crc32(header_bytes))
+    out += MAGIC
+    out += struct.pack("<II", len(header_bytes), zlib.crc32(header_bytes))
     out += header_bytes
     out += b"\x00" * (_align8(len(out)) - len(out))
     for _, _, payload in sections:
@@ -335,8 +319,8 @@ class ColumnTable:
     (and only copied) when a column is requested, so opening a store
     costs one header parse regardless of table size.
 
-    Codec-v2 files are **verified as served**: the header CRC is checked
-    at construction (framing must be trustworthy before anything else is
+    Files are **verified as served**: the header CRC is checked at
+    construction (framing must be trustworthy before anything else is
     believed), and each section's CRC32 is checked the first time its
     bytes are requested — :class:`StoreIntegrityError` is raised before
     one damaged value can be decoded. Verifying lazily instead of
@@ -346,53 +330,37 @@ class ColumnTable:
     Pass ``verify=False`` only when the caller verifies separately (fsck
     does, via :meth:`verify`, to collect *all* findings instead of
     failing on the first).
-
-    Legacy v1 files (no checksums) load with ``integrity=False`` — they
-    cannot detect corruption and should be repacked.
     """
 
     def __init__(self, buffer, *, verify: bool = True, name: str = "") -> None:
         self._buf = buffer
         self._name = name or "column file"
-        if len(buffer) < len(MAGIC) + 4:
-            raise StoreFormatError(f"{self._name} truncated before header")
-        magic = bytes(buffer[: len(MAGIC)])
-        if magic == MAGIC:
-            self.integrity = True
-            expected_codec = CODEC_VERSION
-            start = len(MAGIC) + 8  # header length + header CRC words
-        elif magic == MAGIC_V1:
-            self.integrity = False
-            expected_codec = LEGACY_CODEC_VERSION
-            start = len(MAGIC) + 4
-        else:
-            raise StoreFormatError(f"{self._name}: not a columnar-store file (bad magic)")
+        start = len(MAGIC) + 8  # header length + header CRC words
         if len(buffer) < start:
             raise StoreFormatError(f"{self._name} truncated before header")
-        (header_len,) = struct.unpack_from("<I", buffer, len(MAGIC))
+        if bytes(buffer[: len(MAGIC)]) != MAGIC:
+            raise StoreFormatError(f"{self._name}: not a columnar-store file (bad magic)")
+        header_len, header_crc = struct.unpack_from("<II", buffer, len(MAGIC))
         if len(buffer) < start + header_len:
             raise StoreFormatError(f"{self._name} truncated before header")
         header_bytes = bytes(buffer[start:start + header_len])
-        if self.integrity:
-            (header_crc,) = struct.unpack_from("<I", buffer, len(MAGIC) + 4)
-            if zlib.crc32(header_bytes) != header_crc:
-                raise StoreIntegrityError(
-                    f"{self._name}: header checksum mismatch (corrupt or "
-                    "truncated header)",
-                    findings=["header"],
-                )
+        if zlib.crc32(header_bytes) != header_crc:
+            raise StoreIntegrityError(
+                f"{self._name}: header checksum mismatch (corrupt or "
+                "truncated header)",
+                findings=["header"],
+            )
         try:
             header = json.loads(header_bytes)
         except ValueError as exc:
             raise StoreFormatError(
                 f"{self._name}: corrupt column-file header: {exc}"
             ) from None
-        if header.get("codec") != expected_codec:
+        if header.get("codec") != CODEC_VERSION:
             raise StoreFormatError(
                 f"{self._name}: unsupported codec version "
                 f"{header.get('codec')!r} (this build reads "
-                f"{CODEC_VERSION} and legacy {LEGACY_CODEC_VERSION}); "
-                "repack the store"
+                f"{CODEC_VERSION}); repack the store"
             )
         self.kind: str = header["kind"]
         self.rows: int = header["rows"]
@@ -413,19 +381,14 @@ class ColumnTable:
         #: Lazy verification state: section names whose bytes have been
         #: CRC-checked against the header. Populated by the first
         #: :meth:`raw`/:meth:`typed` access of each section.
-        self._lazy_verify = verify and self.integrity
+        self._lazy_verify = verify
         self._verified: set[str] = set()
 
     def verify(self) -> list[str]:
         """Check every section's bytes against its header CRC32.
 
-        Returns the damaged section names (empty = intact). On a legacy
-        v1 file there is nothing to check and the single finding
-        ``"<no checksums: codec v1>"`` is *not* reported here — fsck
-        surfaces v1 stores separately as "unverifiable".
+        Returns the damaged section names (empty = intact).
         """
-        if not self.integrity:
-            return []
         view = memoryview(self._buf)
         damaged = []
         for name, (fmt, offset, length) in self._sections.items():
@@ -543,8 +506,3 @@ class ColumnTable:
             set_(record, "__dict__", dict(zip(names, values)))
             append(record)
         return out
-
-
-def pack_records(kind: str, records: Iterable) -> bytes:
-    """Convenience wrapper accepting any iterable."""
-    return pack_table(kind, list(records))

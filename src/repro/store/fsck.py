@@ -1,17 +1,18 @@
 """``repro fsck`` — audit and repair a columnar store's integrity.
 
-The check trusts nothing in the store: the manifest must parse and
-carry a known format, every column file must exist with exactly the
+The check trusts nothing in the store: the manifest must pass
+:func:`~repro.store.source.read_manifest` (current format and codec,
+a byte length and CRC32 for every file — a store that fails it is
+repacked, not audited), every column file must exist with exactly the
 byte length and CRC32 the manifest recorded, and every section inside
 each file must match its header checksum. Findings use the same
 quarantine/degrade vocabulary as run supervision:
 
-- ``ok``            — file verified end to end;
-- ``damaged``       — checksum or size mismatch (bit rot, torn write);
-- ``missing``       — manifest lists it, directory does not have it;
-- ``unverifiable``  — legacy v1 file with no checksums to check;
-- ``repaired``      — damaged file quarantined and rebuilt from the
-  TSV source, byte-identical to what the manifest promised.
+- ``ok``        — file verified end to end;
+- ``damaged``   — checksum or size mismatch (bit rot, torn write);
+- ``missing``   — manifest lists it, directory does not have it;
+- ``repaired``  — damaged file quarantined and rebuilt from the TSV
+  source, byte-identical to what the manifest promised.
 
 Repair is conservative: the damaged original is *moved* to
 ``<store>/quarantine/`` (never deleted — it is evidence), the
@@ -26,19 +27,14 @@ output equals an uncorrupted run's.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.durable import durable_write
-from repro.store.codec import (
-    ColumnTable,
-    StoreFormatError,
-    month_of,
-    pack_table,
-)
-from repro.store.source import STORE_FORMAT, store_lock
+from repro.store.codec import ColumnTable, StoreFormatError, pack_table
+from repro.store.source import manifest_files, read_manifest, store_lock
+from repro.zeek.files import partition_by_month
 from repro.zeek.ingest import IngestOptions
 
 #: Subdirectory damaged files are moved into (never deleted).
@@ -50,7 +46,7 @@ class FsckFinding:
     """One file's verdict."""
 
     file: str
-    status: str  # ok | damaged | missing | unverifiable | repaired
+    status: str  # ok | damaged | missing | repaired
     detail: str = ""
 
 
@@ -74,10 +70,6 @@ class FsckResult:
         return [f.file for f in self.findings if f.status == "repaired"]
 
     @property
-    def unverifiable(self) -> list[FsckFinding]:
-        return [f for f in self.findings if f.status == "unverifiable"]
-
-    @property
     def ok(self) -> bool:
         """No unresolved damage (repaired files count as resolved)."""
         return not self.damaged
@@ -89,32 +81,12 @@ class FsckResult:
         return out
 
 
-def _manifest_files(manifest: dict) -> list[str]:
-    files = [entry["file"] for entry in manifest["ssl_shards"].values()]
-    files.extend(entry["file"] for entry in manifest["x509"]["files"])
-    return files
-
-
-def _file_meta(manifest: dict, filename: str) -> dict | None:
-    for entry in manifest["ssl_shards"].values():
-        if entry["file"] == filename:
-            return entry
-    for entry in manifest["x509"]["files"]:
-        if entry["file"] == filename:
-            return entry
-    return None
-
-
 def _check_file(store_dir: Path, filename: str, meta: dict) -> FsckFinding:
     """Verify one column file bottom to top: existence, manifest size
     and CRC, then every section against the file's own header."""
     path = store_dir / filename
     if not path.exists():
         return FsckFinding(filename, "missing", "listed in manifest, not on disk")
-    if "crc32" not in meta:
-        return FsckFinding(
-            filename, "unverifiable", "legacy manifest records no checksum"
-        )
     blob = path.read_bytes()
     if len(blob) != meta["bytes"]:
         return FsckFinding(
@@ -166,15 +138,14 @@ def _rebuild_payload(
         ssl, _ = source.read_ssl(stem[len("ssl-"):], opts)
         return pack_table("ssl", ssl)
     if stem.startswith("x509-"):
-        cert_month = stem[len("x509-"):]
         months = manifest["months"]
         if not months:
             return None
         # The x509 stream is shard-broadcast: any month's read carries
-        # the full certificate stream, partitioned here exactly as
-        # pack_archive partitions it.
+        # the full certificate stream, partitioned as pack_archive
+        # partitions it.
         x509, _ = source.read_x509(months[0], opts)
-        partition = [r for r in x509 if month_of(r.ts) == cert_month]
+        partition = partition_by_month(x509).get(stem[len("x509-"):], [])
         return pack_table("x509", partition)
     return None
 
@@ -210,8 +181,8 @@ def heal_file(
     must not already hold any lock on this store.
     """
     store_dir = Path(store_dir)
-    meta = _file_meta(manifest, filename)
-    if meta is None or "crc32" not in meta:
+    meta = manifest_files(manifest).get(filename)
+    if meta is None:
         return False
     src = Path(source_dir) if source_dir else Path(
         manifest.get("source", {}).get("directory", "")
@@ -241,43 +212,15 @@ def fsck(
 
     ``source`` overrides the archive directory recorded in the manifest
     (for stores whose archive has moved). Raises
-    :class:`StoreFormatError` when the manifest itself is unreadable —
-    there is nothing to audit against; repack instead.
+    :class:`StoreFormatError` when :func:`read_manifest` rejects the
+    manifest — there is nothing to audit against; repack instead.
     """
     store_dir = Path(store)
-    manifest_path = store_dir / "manifest.json"
-    try:
-        with store_lock(store_dir).shared(op="fsck"):
-            manifest_text = manifest_path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise StoreFormatError(
-            f"no columnar store at {store} (missing manifest.json)"
-        ) from None
-    try:
-        manifest = json.loads(manifest_text)
-    except ValueError as exc:
-        raise StoreFormatError(
-            f"corrupt store manifest: {exc}; the manifest is the root of "
-            "trust — repack the store (`repro pack`)"
-        ) from None
-
+    manifest = read_manifest(store_dir, op="fsck")
     result = FsckResult(store=str(store_dir))
-    legacy = manifest.get("format") != STORE_FORMAT
     with store_lock(store_dir).shared(op="fsck-scan"):
-        for filename in _manifest_files(manifest):
-            meta = _file_meta(manifest, filename) or {}
-            if legacy:
-                finding = (
-                    FsckFinding(filename, "missing", "listed in manifest, not on disk")
-                    if not (store_dir / filename).exists()
-                    else FsckFinding(
-                        filename, "unverifiable",
-                        "legacy v1 store has no checksums; repack to upgrade",
-                    )
-                )
-            else:
-                finding = _check_file(store_dir, filename, meta)
-            result.findings.append(finding)
+        for filename, meta in manifest_files(manifest).items():
+            result.findings.append(_check_file(store_dir, filename, meta))
 
     if repair:
         repaired_findings: list[FsckFinding] = []

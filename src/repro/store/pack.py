@@ -6,8 +6,8 @@ writes one ``.col`` file per ssl shard plus one per x509 calendar month,
 committed by a ``manifest.json`` that records the store format, codec
 version, the ingest-policy identity the records were parsed under, the
 source archive's content fingerprint, the verbatim per-shard ingest
-reports, and — since store format v2 — every file's byte length and
-CRC32, so ``repro fsck`` can audit a store without trusting it.
+reports, and every file's byte length and CRC32, so ``repro fsck`` can
+audit a store without trusting it.
 
 Durability: every file goes through
 :func:`repro.core.durable.durable_write` (temp file + fsync + atomic
@@ -16,8 +16,8 @@ pack runs under the store's exclusive :func:`~repro.store.source.store_lock`
 — so a crashed or racing pack never leaves a store that *looks*
 complete, and two concurrent packs serialize instead of interleaving.
 ``ensure_store`` is the idempotent front door: it reuses a matching
-store and transparently repacks a stale, corrupt, legacy-format, or
-policy-mismatched one.
+store and transparently repacks a stale, corrupt, foreign-format (a
+store from before checksums included), or policy-mismatched one.
 """
 
 from __future__ import annotations
@@ -29,48 +29,42 @@ from pathlib import Path
 from repro.core import tracing
 from repro.core.durable import durable_write, sweep_orphans
 from repro.core.locks import LockTimeout
-from repro.store.codec import CODEC_VERSION, StoreFormatError, month_of, pack_table
+from repro.store.codec import CODEC_VERSION, StoreFormatError, pack_table
 from repro.store.source import (
-    LEGACY_STORE_FORMAT,
+    MANIFEST_NAME,
     STORE_FORMAT,
     ColumnarStoreSource,
     store_lock,
 )
-from repro.zeek.files import TsvDirectorySource
+from repro.zeek.files import TsvDirectorySource, partition_by_month
 from repro.zeek.ingest import IngestOptions, IngestReport
 
 __all__ = [
     "STORE_FORMAT",
-    "LEGACY_STORE_FORMAT",
     "MANIFEST_NAME",
     "pack_archive",
     "ensure_store",
 ]
 
-MANIFEST_NAME = "manifest.json"
-
 
 def _file_meta(payload: bytes) -> dict:
-    """The integrity fields the v2 manifest records per column file."""
+    """The integrity fields the manifest records per column file."""
     return {"bytes": len(payload), "crc32": zlib.crc32(payload)}
 
 
 def _pack_x509(store_dir: Path, records: list, report: IngestReport) -> dict:
     """Write the x509 stream split by calendar month, so large stores
     stay granular; returns its manifest entry."""
-    partitions: dict[str, list] = {}
-    for record in records:
-        partitions.setdefault(month_of(record.ts), []).append(record)
     files = []
-    for cert_month in sorted(partitions):
+    for cert_month, partition in partition_by_month(records).items():
         cert_file = f"x509-{cert_month}.col"
-        cert_payload = pack_table("x509", partitions[cert_month])
+        cert_payload = pack_table("x509", partition)
         durable_write(store_dir / cert_file, cert_payload)
         files.append(
             {
                 "month": cert_month,
                 "file": cert_file,
-                "rows": len(partitions[cert_month]),
+                "rows": len(partition),
                 **_file_meta(cert_payload),
             }
         )
@@ -153,13 +147,15 @@ def ensure_store(
 ) -> ColumnarStoreSource:
     """Open a store for ``directory``, packing (or repacking) if needed.
 
-    A store is reused only when its manifest carries the current store
-    format and codec version, the same ingest-policy identity, and the
-    archive's current content fingerprint — any mismatch (including a
-    byte-level edit to any log file, or a legacy un-checksummed v1
-    store) triggers a transparent repack. On reuse, orphaned temp files
-    from a previously killed writer are swept opportunistically (only
-    if the exclusive lock is free — never under a live writer).
+    A store is reused only when :func:`~repro.store.source.read_manifest`
+    accepts its manifest (current store format and codec, every file's
+    length and CRC32 recorded) and the manifest carries the same
+    ingest-policy identity and the archive's current content
+    fingerprint — any mismatch (including a byte-level edit to any log
+    file, or a store from before checksums) triggers a transparent
+    repack. On reuse, orphaned temp files from a previously killed
+    writer are swept opportunistically (only if the exclusive lock is
+    free — never under a live writer).
     """
     opts = IngestOptions.coerce(options)
     store_dir = Path(store)

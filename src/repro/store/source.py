@@ -20,8 +20,14 @@ identically; both the open path (:meth:`table`) and the consumption
 path (:meth:`serve`, used by record materialization and the query
 engine) retry once after healing. The healed filenames are recorded in
 :attr:`healed`.
-Legacy v1 stores (no checksums) still read, with a
-:class:`RuntimeWarning` that corruption cannot be detected.
+
+The manifest is the root of trust, and :func:`read_manifest` is the one
+place it is read: the source, ``repro fsck`` and ``ensure_store``'s reuse
+check all go through it. Only ``columnar-store/v2`` manifests whose every
+file entry records a byte length and CRC32 are served; anything else
+(a missing or torn manifest, a store from before checksums, a foreign
+format) is a :class:`~repro.store.codec.StoreFormatError` that names the
+repack, which ``ensure_store`` performs on its own.
 
 Concurrency: manifest reads and table opens take the store's shared
 :func:`store_lock`, so they cannot interleave with a packer's exclusive
@@ -39,13 +45,11 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import warnings
 from pathlib import Path
 
 from repro.core.locks import FileLock
 from repro.store.codec import (
     CODEC_VERSION,
-    LEGACY_CODEC_VERSION,
     ColumnTable,
     StoreFormatError,
     StoreIntegrityError,
@@ -53,18 +57,14 @@ from repro.store.codec import (
 from repro.zeek.ingest import IngestOptions, IngestReport, ShardRecords
 from repro.zeek.records import SslRecord, X509Record
 
-#: Current (checksummed) manifest format.
+#: Manifest format (every file entry records its byte length and CRC32).
 STORE_FORMAT = "columnar-store/v2"
-#: Legacy manifest format: no per-file checksums. Read-compatible.
-LEGACY_STORE_FORMAT = "columnar-store/v1"
+
+#: Name of the store's commit record inside a store directory.
+MANIFEST_NAME = "manifest.json"
 
 #: Name of the advisory lock file inside a store directory.
 LOCK_NAME = ".lock"
-
-_FORMAT_CODECS = {
-    STORE_FORMAT: CODEC_VERSION,
-    LEGACY_STORE_FORMAT: LEGACY_CODEC_VERSION,
-}
 
 
 def store_lock(store: Path | str) -> FileLock:
@@ -76,6 +76,57 @@ def store_lock(store: Path | str) -> FileLock:
     descriptors as independent lockers.
     """
     return FileLock(Path(store) / LOCK_NAME)
+
+
+def manifest_files(manifest: dict) -> dict[str, dict]:
+    """Filename → manifest entry for every column file of a store: the
+    ssl shards in month order, then the x509 partitions."""
+    files = {entry["file"]: entry for entry in manifest["ssl_shards"].values()}
+    files.update((entry["file"], entry) for entry in manifest["x509"]["files"])
+    return files
+
+
+def read_manifest(store: Path | str, *, op: str) -> dict:
+    """Read and check a store's manifest under the shared store lock.
+
+    Raises :class:`StoreFormatError` — naming the repack that fixes it —
+    when the manifest is missing or torn, declares another format or
+    codec, or lists a file without the byte length and CRC32 that every
+    integrity check is anchored on.
+    """
+    try:
+        with store_lock(store).shared(op=op):
+            text = (Path(store) / MANIFEST_NAME).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise StoreFormatError(
+            f"no columnar store at {store} (missing {MANIFEST_NAME}); "
+            "run `repro pack` or pass --store to create one"
+        ) from None
+    try:
+        manifest = json.loads(text)
+    except ValueError as exc:
+        raise StoreFormatError(
+            f"corrupt store manifest: {exc}; the manifest is the root of "
+            "trust — repack the store (`repro pack`)"
+        ) from None
+    declared = manifest.get("format") if isinstance(manifest, dict) else None
+    if declared != STORE_FORMAT:
+        raise StoreFormatError(
+            f"unsupported store format {declared!r} (this build reads "
+            f"{STORE_FORMAT!r}); repack the store (`repro pack`)"
+        )
+    if manifest.get("codec") != CODEC_VERSION:
+        raise StoreFormatError(
+            f"unsupported store codec {manifest.get('codec')!r} (this "
+            f"build reads {CODEC_VERSION}); repack the store (`repro pack`)"
+        )
+    for filename, entry in manifest_files(manifest).items():
+        if "bytes" not in entry or "crc32" not in entry:
+            raise StoreFormatError(
+                f"malformed store manifest: {filename} records no byte "
+                "length or CRC32; repack the store (`repro pack`)"
+            )
+    return manifest
 
 
 class ColumnarStoreSource:
@@ -97,48 +148,9 @@ class ColumnarStoreSource:
         #: order the damage was hit (the degrade/quarantine vocabulary:
         #: the damaged original lands in ``<store>/quarantine/``).
         self.healed: list[str] = []
-        manifest_path = Path(store) / "manifest.json"
-        try:
-            with store_lock(store).shared(op="open"):
-                manifest_text = manifest_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise StoreFormatError(
-                f"no columnar store at {store} (missing manifest.json); "
-                "run `repro pack` or pass --store to create one"
-            ) from None
-        try:
-            manifest = json.loads(manifest_text)
-        except ValueError as exc:
-            raise StoreFormatError(f"corrupt store manifest: {exc}") from None
-        declared = manifest.get("format")
-        if declared not in _FORMAT_CODECS:
-            raise StoreFormatError(
-                f"unsupported store format {declared!r} "
-                f"(this build reads {STORE_FORMAT!r} and legacy "
-                f"{LEGACY_STORE_FORMAT!r}); repack the store"
-            )
-        if manifest.get("codec") != _FORMAT_CODECS[declared]:
-            raise StoreFormatError(
-                f"unsupported store codec {manifest.get('codec')!r} "
-                f"(this build reads {CODEC_VERSION} and legacy "
-                f"{LEGACY_CODEC_VERSION}); repack the store"
-            )
-        self.integrity = declared == STORE_FORMAT
-        if not self.integrity:
-            warnings.warn(
-                f"store at {store} uses the legacy {LEGACY_STORE_FORMAT} "
-                "format with no integrity checksums — corruption cannot "
-                "be detected; repack (or run ensure_store) to upgrade",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self.manifest = manifest
-        self._months: tuple[str, ...] = tuple(manifest["months"])
-        self._file_meta: dict[str, dict] = {}
-        for entry in manifest["ssl_shards"].values():
-            self._file_meta[entry["file"]] = entry
-        for entry in manifest["x509"]["files"]:
-            self._file_meta[entry["file"]] = entry
+        self.manifest = read_manifest(store, op="open")
+        self._months: tuple[str, ...] = tuple(self.manifest["months"])
+        self._files = manifest_files(self.manifest)
         self._tables: dict[str, ColumnTable] = {}
         self._ssl_cache: dict[str, list[SslRecord]] = {}
         self._x509_cache: list[X509Record] | None = None
@@ -153,26 +165,19 @@ class ColumnarStoreSource:
         }
 
     def __setstate__(self, state: dict) -> None:
-        with warnings.catch_warnings():
-            # The parent process already warned about a legacy store;
-            # re-opened worker clones stay quiet.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            self.__init__(
-                state["directory"],
-                verify=state.get("verify", True),
-                heal=state.get("heal", True),
-            )
+        self.__init__(
+            state["directory"],
+            verify=state.get("verify", True),
+            heal=state.get("heal", True),
+        )
 
     # Store identity -----------------------------------------------------------
 
     def matches(self, fingerprint: str, options: IngestOptions) -> bool:
         """Whether this store serves exactly that archive under that
-        ingest policy (the ``ensure_store`` reuse check). Legacy v1
-        stores never match — reuse would keep un-checksummed files
-        alive forever, so they are transparently upgraded by a repack."""
+        ingest policy (the ``ensure_store`` reuse check)."""
         return (
-            self.integrity
-            and self.manifest["source"]["fingerprint"] == fingerprint
+            self.manifest["source"]["fingerprint"] == fingerprint
             and self.manifest["options"] == options.identity()
         )
 
@@ -191,23 +196,22 @@ class ColumnarStoreSource:
         """Map and (if enabled) verify one column file, under the
         store's shared lock so a mid-pack writer is excluded."""
         path = Path(self.directory) / filename
+        expected = self._files[filename]["bytes"]
         with store_lock(self.directory).shared(op=f"map {filename}"):
-            meta = self._file_meta.get(filename)
-            if meta is not None and "bytes" in meta:
-                try:
-                    actual = path.stat().st_size
-                except FileNotFoundError:
-                    raise StoreIntegrityError(
-                        f"{filename}: column file missing from store",
-                        findings=["missing"],
-                    ) from None
-                if actual != meta["bytes"]:
-                    raise StoreIntegrityError(
-                        f"{filename}: size {actual} does not match the "
-                        f"manifest ({meta['bytes']} bytes) — truncated or "
-                        "partially written",
-                        findings=["size"],
-                    )
+            try:
+                actual = path.stat().st_size
+            except FileNotFoundError:
+                raise StoreIntegrityError(
+                    f"{filename}: column file missing from store",
+                    findings=["missing"],
+                ) from None
+            if actual != expected:
+                raise StoreIntegrityError(
+                    f"{filename}: size {actual} does not match the "
+                    f"manifest ({expected} bytes) — truncated or "
+                    "partially written",
+                    findings=["size"],
+                )
             with path.open("rb") as handle:
                 buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             return ColumnTable(buffer, verify=self._verify, name=filename)
@@ -270,11 +274,6 @@ class ColumnarStoreSource:
             known = ", ".join(self._months)
             raise KeyError(f"no shard for month {month!r} (have: {known})") from None
         return self.table(meta["file"])
-
-    def x509_tables(self) -> list[ColumnTable]:
-        return [
-            self.table(entry["file"]) for entry in self.manifest["x509"]["files"]
-        ]
 
     # RecordSource protocol ----------------------------------------------------
 

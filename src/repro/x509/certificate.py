@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.asn1 import (
     ObjectIdentifier,
     OID,
-    Tag,
     encode_bit_string,
-    encode_context,
     encode_explicit,
     encode_integer,
     encode_null,
@@ -21,7 +19,6 @@ from repro.asn1 import (
     read_single_tlv,
 )
 from repro.asn1.decoder import (
-    DerReader,
     Tlv,
     decode_bit_string,
     decode_integer,
@@ -32,7 +29,6 @@ from repro.asn1.decoder import (
 from repro.asn1.encoder import encode_x509_time
 from repro.asn1.errors import DerDecodeError
 from repro.asn1.tags import TagClass
-from repro.x509.errors import CertificateError
 from repro.x509.extensions import (
     BasicConstraints,
     ExtendedKeyUsage,

@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from repro.asn1 import (
-    DerReader,
     ObjectIdentifier,
     OID,
     Tag,

@@ -37,6 +37,7 @@ from repro.asn1 import (
     read_single_tlv,
 )
 from repro.asn1.decoder import decode_bit_string, decode_integer
+from repro.asn1.oid import ObjectIdentifier as _ObjectIdentifier
 from repro.x509.errors import InvalidSignatureError, KeyError_
 
 # DigestInfo prefixes for PKCS#1 v1.5 (RFC 8017 section 9.2).
@@ -251,8 +252,6 @@ def generate_rsa_key(
 #: OID arc used to mark simulated keys inside SubjectPublicKeyInfo. A real
 #: deployment would never see this; it keeps simulated and RSA keys
 #: unambiguous when certificates are re-parsed.
-from repro.asn1.oid import ObjectIdentifier as _ObjectIdentifier
-
 SIM_KEY_OID = _ObjectIdentifier("1.3.6.1.4.1.99999.1")
 
 

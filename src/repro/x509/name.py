@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.asn1 import (
-    DerReader,
     ObjectIdentifier,
     OID,
     encode_oid,

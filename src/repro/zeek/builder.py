@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.tls.connection import ConnectionRecord
 from repro.x509 import Certificate
@@ -62,10 +61,6 @@ class ZeekLogBuilder:
         )
         self._logs.ssl.append(record)
         return record
-
-    def observe_all(self, connections: Iterable[ConnectionRecord]) -> None:
-        for connection in connections:
-            self.observe(connection)
 
     @property
     def logs(self) -> ZeekLogs:

@@ -28,8 +28,23 @@ from repro.zeek.tsv import (
 )
 
 
-def _month_key(ts) -> str:
+def month_key(ts) -> str:
+    """The 'YYYY-MM' rotation label of a timestamp.
+
+    The one partition rule of the pipeline: it names the rotated file a
+    record is written to, the store file it is packed into, the ssl
+    table's ``__month__`` column, and the Figure 1 row it counts in.
+    """
     return f"{ts.year:04d}-{ts.month:02d}"
+
+
+def partition_by_month(records: Iterable) -> dict[str, list]:
+    """Split records by :func:`month_key`, months in calendar order and
+    records in input order within each month."""
+    by_month: dict[str, list] = {}
+    for record in records:
+        by_month.setdefault(month_key(record.ts), []).append(record)
+    return {month: by_month[month] for month in sorted(by_month)}
 
 
 def _open_text(path: Path, mode: str) -> TextIO:
@@ -51,17 +66,11 @@ def write_rotated_logs(
     written: list[Path] = []
     suffix = ".log.gz" if compress else ".log"
 
-    def partition(records):
-        by_month: dict[str, list] = {}
-        for record in records:
-            by_month.setdefault(_month_key(record.ts), []).append(record)
-        return by_month
-
     for prefix, records, writer in (
         ("ssl", logs.ssl, write_ssl_log),
         ("x509", logs.x509, write_x509_log),
     ):
-        for month, month_records in sorted(partition(records).items()):
+        for month, month_records in partition_by_month(records).items():
             path = directory / f"{prefix}.{month}{suffix}"
             with _open_text(path, "w") as out:
                 writer(month_records, out)

@@ -1181,16 +1181,6 @@ def iter_ssl_log_batches(
     return iter((reader.read(source),))
 
 
-def iter_x509_log_batches(
-    source: TextIO, options: IngestOptions | None = None
-) -> Iterator[list[X509Record]]:
-    """Decoded x509.log record batches; see :func:`iter_ssl_log_batches`."""
-    reader = _reader("x509", source, IngestOptions.coerce(options))
-    if reader.batched:
-        return reader.iter_batches(source)
-    return iter((reader.read(source),))
-
-
 class TailDecoder:
     """Incremental, restartable TSV decoder for one live log file.
 

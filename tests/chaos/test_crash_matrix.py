@@ -11,7 +11,6 @@ Three artifact classes are driven through :class:`FaultyIO`:
 """
 
 import errno
-import json
 
 import pytest
 

@@ -1,7 +1,5 @@
 """Tests for duration-of-activity statistics."""
 
-import pytest
-
 from repro.core.activity import (
     ActivityQuantiles,
     activity_report,

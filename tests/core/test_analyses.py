@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import cnsan, dummy, issuers, prevalence, services, sharing, validity
+from repro.core import dummy, issuers, prevalence, services, sharing, validity
 
 
 class TestPrevalence:
@@ -62,7 +62,6 @@ class TestServices:
         assert filewave.share > 0.08  # paper: 24.89%
 
     def test_globus_range_collapsed(self, medium_result):
-        breakdown = services.service_breakdown(medium_result.enriched)
         all_rows = services.service_breakdown(medium_result.enriched, top=10)
         groups = [r.port_group for r in all_rows.inbound_mutual]
         assert "50000-51000" in groups

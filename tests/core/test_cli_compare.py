@@ -1,7 +1,5 @@
 """Tests for the `compare` CLI subcommand."""
 
-import pytest
-
 from repro.cli import main
 
 

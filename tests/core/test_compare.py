@@ -1,9 +1,6 @@
 """Tests for study-export comparison."""
 
-import pytest
-
 from repro.core.compare import (
-    StudyDiff,
     diff_studies,
     diff_study_json,
     diff_tables,

@@ -52,8 +52,6 @@ class TestEkuInLogs:
         assert "clientAuth" in names
 
     def test_allows_helpers(self, small_result):
-        from repro.zeek import X509Record
-
         for profile in small_result.dataset.certificate_profiles().values():
             record = profile.record
             if not record.eku:

@@ -1,7 +1,5 @@
 """Tests for the per-host certificate inventory."""
 
-import pytest
-
 from repro.core.hosts import host_inventory, render_host_inventory
 
 

@@ -169,9 +169,9 @@ class TestUnsortedArchiveFallback:
         victim = sorted(directory.glob("ssl.*.log.gz"))[0]
         text = gzip.decompress(victim.read_bytes()).decode("utf-8")
         lines = text.splitlines(keepends=True)
-        head = [l for l in lines if l.startswith("#") and not l.startswith("#close")]
-        tail = [l for l in lines if l.startswith("#close")]
-        rows = [l for l in lines if not l.startswith("#")]
+        head = [ln for ln in lines if ln.startswith("#") and not ln.startswith("#close")]
+        tail = [ln for ln in lines if ln.startswith("#close")]
+        rows = [ln for ln in lines if not ln.startswith("#")]
         assert len(rows) > 1
         shuffled = "".join(head + rows[::-1] + tail)
         victim.write_bytes(gzip.compress(shuffled.encode("utf-8")))

@@ -1,7 +1,5 @@
 """Tests for the §6.1.2 SAN-type usage analysis."""
 
-import pytest
-
 from repro.core.cnsan import SanTypeUsage, render_san_type_usage, san_type_usage
 
 

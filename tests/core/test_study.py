@@ -1,7 +1,8 @@
 """Tests for the CampusStudy orchestration layer."""
 
-import pytest
+import re
 
+import repro
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig
 
@@ -90,3 +91,12 @@ class TestPipelineRecoversGroundTruth:
         for conn in medium_result.enriched.connections:
             if conn.view.ssl.version == "TLSv13":
                 assert not conn.is_mutual
+
+
+def test_package_quickstart_calls_real_methods():
+    """Every attribute the package docstring's Quickstart reads off
+    ``study`` exists on CampusStudy."""
+    quickstart = repro.__doc__.split("Quickstart::", 1)[1]
+    names = set(re.findall(r"\bstudy\.(\w+)", quickstart))
+    assert names
+    assert sorted(n for n in names if not hasattr(CampusStudy, n)) == []

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.core.enrich import InterceptionScan
 from repro.core.parallel import ShardExecutor, analyze_directory
 from repro.core.report import render_run_health
 from repro.core.supervisor import (

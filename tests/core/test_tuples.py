@@ -1,7 +1,5 @@
 """Tests for connection tuples, the TLS 1.3 blind spot, and weak crypto."""
 
-import pytest
-
 from repro.core import tuples
 from repro.core.dummy import weak_crypto_report, render_weak_crypto
 

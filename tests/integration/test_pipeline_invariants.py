@@ -5,7 +5,6 @@ configurations and assert structural invariants that must hold for ANY
 input — the pipeline-level analogue of the per-module property tests.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.netsim import ScenarioConfig, TrafficGenerator
-from repro.tls.versions import TlsVersion
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,9 @@
 """Store integrity end to end: checksummed codec v2, verify-as-served
 (header at map time, sections on first access), transparent healing,
-fsck detect/quarantine/repair (byte-identical), legacy v1 read-compat,
-and the fsck CLI exit codes."""
+fsck detect/quarantine/repair (byte-identical), stores from before
+checksums refused and repacked, and the fsck CLI exit codes."""
 
 import json
-import warnings
 import zlib
 
 import pytest
@@ -14,18 +13,16 @@ from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.netsim.faults import flip_byte
 from repro.store import (
     CODEC_VERSION,
-    LEGACY_STORE_FORMAT,
     MAGIC,
-    MAGIC_V1,
     MANIFEST_NAME,
     STORE_FORMAT,
     ColumnarStoreSource,
     ColumnTable,
+    StoreFormatError,
     StoreIntegrityError,
     ensure_store,
     fsck,
     pack_archive,
-    pack_table,
 )
 from repro.zeek import IngestOptions
 from repro.zeek.files import write_rotated_logs
@@ -66,23 +63,31 @@ def _flip_in_section(path, section="cipher"):
     flip_byte(path, offset)
 
 
-def _downgrade_to_v1(store_dir):
-    """Convert a packed v2 store into a genuine legacy v1 store:
-    re-encode every column file at codec v1 and strip the manifest's
-    integrity fields."""
-    manifest = json.loads((store_dir / MANIFEST_NAME).read_text("utf-8"))
-    entries = list(manifest["ssl_shards"].values()) + manifest["x509"]["files"]
-    for entry in entries:
-        path = store_dir / entry["file"]
-        table = ColumnTable(path.read_bytes())
-        path.write_bytes(pack_table(table.kind, table.records(), codec_version=1))
-        entry.pop("bytes", None)
-        entry.pop("crc32", None)
-    manifest["format"] = LEGACY_STORE_FORMAT
-    manifest["codec"] = 1
-    (store_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+#: The retired pre-checksum (codec 1) column-file magic.
+V1_MAGIC = b"RPCOL1\n\0"
+
+
+def _strip_checksums(store_dir, *, label, codec):
+    """Relabel a packed store's manifest and drop every file entry's
+    byte length and CRC32, as a manifest from before checksums had."""
+    path = store_dir / MANIFEST_NAME
+    manifest = json.loads(path.read_text("utf-8"))
+    for entry in list(manifest["ssl_shards"].values()) + manifest["x509"]["files"]:
+        del entry["bytes"], entry["crc32"]
+    manifest["format"] = label
+    manifest["codec"] = codec
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def _forge_v1(store_dir):
+    """Make a packed store look like one from before checksums: the v1
+    manifest label and codec, no per-file integrity fields, and the v1
+    magic on every column file."""
+    _strip_checksums(store_dir, label="columnar-store/v1", codec=1)
+    for path in store_dir.glob("*.col"):
+        blob = bytearray(path.read_bytes())
+        blob[: len(V1_MAGIC)] = V1_MAGIC
+        path.write_bytes(bytes(blob))
 
 
 class TestCodecV2:
@@ -219,7 +224,6 @@ class TestFsck:
     def test_clean_store_is_ok(self, store_dir):
         result = fsck(store_dir)
         assert result.ok
-        assert not result.unverifiable
         assert all(f.status == "ok" for f in result.findings)
 
     def test_detects_and_names_damaged_section(self, store_dir):
@@ -265,54 +269,52 @@ class TestFsck:
         assert result.unrepaired == [filename]
 
     def test_missing_manifest_raises(self, tmp_path):
-        from repro.store import StoreFormatError
-
         (tmp_path / "empty").mkdir()
         with pytest.raises(StoreFormatError, match="manifest"):
             fsck(tmp_path / "empty")
 
     def test_corrupt_manifest_raises(self, store_dir):
-        from repro.store import StoreFormatError
-
         (store_dir / MANIFEST_NAME).write_text("{torn", encoding="utf-8")
         with pytest.raises(StoreFormatError, match="root of trust"):
             fsck(store_dir)
 
 
-class TestLegacyV1:
-    def test_v1_files_read_without_checksums(self, store_dir):
+class TestRetiredV1:
+    """A store from before checksums is repacked from its archive, never
+    read: no reader serves it and fsck refuses to audit it."""
+
+    def test_v1_file_is_bad_magic(self, store_dir):
+        _forge_v1(store_dir)
         filename, _ = _shard_file(store_dir)
-        before = ColumnTable((store_dir / filename).read_bytes()).records()
-        _downgrade_to_v1(store_dir)
-        blob = (store_dir / filename).read_bytes()
-        assert blob[:8] == MAGIC_V1
-        table = ColumnTable(blob)
-        assert not table.integrity
-        assert table.verify() == []  # nothing to check
-        assert table.records() == before
+        with pytest.raises(StoreFormatError, match="bad magic"):
+            ColumnTable((store_dir / filename).read_bytes(), name=filename)
 
-    def test_source_warns_on_legacy_store(self, store_dir):
-        _, month = _shard_file(store_dir)
-        _downgrade_to_v1(store_dir)
-        with pytest.warns(RuntimeWarning, match="no integrity checksums"):
-            source = ColumnarStoreSource(store_dir)
-        assert not source.integrity
-        assert source.read_month(month, OPTIONS).ssl
+    def test_source_refuses_v1_store(self, store_dir):
+        _forge_v1(store_dir)
+        with pytest.raises(StoreFormatError, match="repack"):
+            ColumnarStoreSource(store_dir)
 
-    def test_fsck_reports_unverifiable(self, store_dir):
-        _downgrade_to_v1(store_dir)
+    def test_fsck_refuses_v1_store(self, store_dir, capsys):
+        _forge_v1(store_dir)
+        with pytest.raises(StoreFormatError, match="repack"):
+            fsck(store_dir)
+        assert main(["fsck", str(store_dir)]) == 1
+        assert "repack" in capsys.readouterr().err
+
+    def test_v2_label_without_checksums_is_malformed(self, store_dir):
+        _strip_checksums(store_dir, label=STORE_FORMAT, codec=CODEC_VERSION)
+        for reader in (ColumnarStoreSource, fsck):
+            with pytest.raises(StoreFormatError, match="malformed.*repack"):
+                reader(store_dir)
+
+    def test_ensure_store_repacks_v1_store(self, archive, store_dir):
+        _forge_v1(store_dir)
+        source = ensure_store(archive, store_dir)
+        assert source.manifest["format"] == STORE_FORMAT
+        for path in store_dir.glob("*.col"):
+            assert path.read_bytes()[: len(MAGIC)] == MAGIC
         result = fsck(store_dir)
-        assert result.ok  # no *detected* damage ...
-        assert result.unverifiable  # ... but nothing was checkable
-
-    def test_ensure_store_upgrades_legacy(self, archive, store_dir):
-        _downgrade_to_v1(store_dir)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            source = ensure_store(archive, store_dir)
-        assert source.integrity
-        manifest = json.loads((store_dir / MANIFEST_NAME).read_text("utf-8"))
-        assert manifest["format"] == STORE_FORMAT
+        assert result.ok and all(f.status == "ok" for f in result.findings)
 
 
 class TestFsckCli:

@@ -1,6 +1,6 @@
 """Property-based tests for the text substrate."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.cnsan import INFO_TYPES, CnSanClassifier

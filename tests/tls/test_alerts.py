@@ -3,9 +3,7 @@
 import pytest
 
 from repro.tls.alerts import (
-    Alert,
     AlertDescription,
-    AlertLevel,
     alert_for_failure,
     alert_for_validation_status,
 )

@@ -1,7 +1,6 @@
 """Tests for certificate building, DER round-trip, and verification."""
 
 import datetime as dt
-import random
 
 import pytest
 

@@ -10,7 +10,6 @@ from repro.x509 import (
     ExtendedKeyUsage,
     Extension,
     GeneralName,
-    GeneralNameType,
     KeyUsage,
     SubjectAlternativeName,
 )
