@@ -1,9 +1,9 @@
 """Throughput of the batch decoder vs the reference reader.
 
 Not a paper artifact — the acceptance gate of the fast ingest engine:
-the vectorized ``batch`` engine (whole-buffer splitting plus columnar
-bulk decode) must deliver at least 2.2x records/sec over the per-field
-dispatch path on the full benchmark campaign, with byte-identical
+the vectorized batch engine (``auto``: whole-buffer splitting plus
+columnar bulk decode) must deliver at least 2.2x records/sec over the
+per-field dispatch path on the full benchmark campaign, with byte-identical
 output (proven by ``tests/differential``; re-asserted cheaply here).
 Its ratio is recorded as ``speedup_vs_slow`` (the scaling-curve record
 in ``bench_scaling.py`` carries the volume sweep).
@@ -34,7 +34,7 @@ ROUNDS = 7
 #: the full campaign must meet the real acceptance bar.
 MIN_BATCH_SPEEDUP = 1.3 if SMOKE else 2.2
 
-MODES = ("off", "batch")
+MODES = ("off", "auto")
 
 
 def _read_both(ssl_text: str, x509_text: str, mode: str):
@@ -58,11 +58,11 @@ def test_fast_path_speedup(simulation):
             best[mode] = min(best[mode], time.perf_counter() - started)
 
     # The contract the speed is not allowed to bend: identical records.
-    assert last["batch"] == last["off"]
+    assert last["auto"] == last["off"]
 
     slow_rps = rows / best["off"]
-    batch_rps = rows / best["batch"]
-    batch_speedup = best["off"] / best["batch"]
+    batch_rps = rows / best["auto"]
+    batch_speedup = best["off"] / best["auto"]
 
     table = Table("Fast-path ingest throughput", ["Reader", "Value"])
     table.add_row("slow (rows/s)", f"{slow_rps:,.0f}")

@@ -5,8 +5,8 @@ intra-shard-pipelining engine. Two curves are measured and emitted to
 ``BENCH_scaling.json``:
 
 * **Row-volume curve** — decoder throughput (rows/sec) for the two
-  engines (``off`` reference, ``batch`` vectorized) at increasing total
-  row volumes. Corpus text is tiled in
+  engines (``off`` reference, ``auto`` vectorized batch) at increasing
+  total row volumes. Corpus text is tiled in
   memory up to a bounded size and re-read to reach each target volume,
   so the curve measures steady-state throughput without multi-GB
   strings. Full scale sweeps 10^5 → 10^7 rows; smoke shrinks the
@@ -42,7 +42,7 @@ VOLUMES = (2_000, 10_000, 50_000) if SMOKE else (100_000, 1_000_000, 10_000_000)
 #: whole reads of the tile (steady-state throughput, bounded memory).
 MAX_TILE_ROWS = 1_000_000
 
-MODES = ("off", "batch")
+MODES = ("off", "auto")
 
 #: Full-leg acceptance: the engineered path (batch + pipelining +
 #: jobs=N) must beat the reference serial path by this factor on the
@@ -113,14 +113,14 @@ def test_row_volume_curve():
     tile, tile_rows = _tile(base, VOLUMES[0])
     reference = read_ssl_log(io.StringIO(tile), IngestOptions(fast_path="off"))
     assert (
-        read_ssl_log(io.StringIO(tile), IngestOptions(fast_path="batch"))
+        read_ssl_log(io.StringIO(tile), IngestOptions(fast_path="auto"))
         == reference
     )
 
     curve = []
     table = Table(
         "Ingest scaling: rows/sec by volume and engine",
-        ["Rows", "off", "batch", "batch/off"],
+        ["Rows", "off", "auto", "auto/off"],
     )
     for volume in VOLUMES:
         tile, tile_rows = _tile(base, volume)
@@ -133,18 +133,18 @@ def test_row_volume_curve():
         table.add_row(
             f"{volume:,}",
             f"{rps['off']:,.0f}",
-            f"{rps['batch']:,.0f}",
-            f"x{rps['batch'] / rps['off']:.2f}",
+            f"{rps['auto']:,.0f}",
+            f"x{rps['auto'] / rps['off']:.2f}",
         )
 
     largest = {p["mode"]: p["rows_per_sec"] for p in curve[-len(MODES):]}
     smallest = {p["mode"]: p["rows_per_sec"] for p in curve[: len(MODES)]}
-    batch_speedup = largest["batch"] / largest["off"]
+    batch_speedup = largest["auto"] / largest["off"]
     report(
         table,
         f"target: batch engine >= x{MIN_BATCH_SPEEDUP} over the reference "
         "engine at the largest volume, flat rows/sec across volumes",
-        records_per_sec=largest["batch"],
+        records_per_sec=largest["auto"],
         accuracy={
             "curve": curve,
             "batch_vs_off_at_max_volume": batch_speedup,
@@ -153,7 +153,7 @@ def test_row_volume_curve():
     assert batch_speedup >= MIN_BATCH_SPEEDUP
     # Linearity: steady-state throughput must not collapse with volume
     # (a quadratic splitter would show up exactly here).
-    assert largest["batch"] >= smallest["batch"] * 0.5
+    assert largest["auto"] >= smallest["auto"] * 0.5
 
 
 def test_full_pipeline_leg(tmp_path_factory):
@@ -170,7 +170,7 @@ def test_full_pipeline_leg(tmp_path_factory):
     legs = [("reference", 1, {"fast_path": "off", "pipeline": "off"})]
     for jobs in _jobs_ladder():
         legs.append(
-            (f"engineered-j{jobs}", jobs, {"fast_path": "batch", "pipeline": "on"})
+            (f"engineered-j{jobs}", jobs, {"fast_path": "auto", "pipeline": "on"})
         )
 
     best = {name: float("inf") for name, _, _ in legs}

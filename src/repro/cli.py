@@ -5,7 +5,7 @@ Subcommands::
     python -m repro generate  --out DIR [--months N] [--cpm N] [--seed N]
                               [--rotated]
     python -m repro study     [--months N] [--cpm N] [--seed N] [--table NAME]
-                              [--jobs N] [--fast-path MODE] [--store DIR]
+                              [--jobs N] [--fast-path MODE]
     python -m repro analyze   DIR --trust-bundle FILE [--jobs N]
                               [--table NAME] [--json] [--degrade POLICY]
                               [--max-attempts N] [--shard-timeout S]
@@ -95,7 +95,7 @@ _FLAG_SPECS: dict[str, tuple[tuple[str, ...], dict]] = {
         help="ingest/enrich fast path: the batch decode engine plus the "
              "per-certificate fact cache. Results are byte-identical "
              "either way; 'off' is the reference path, 'auto' (default) "
-             "and 'batch' enable it",
+             "enables it",
     )),
     "jobs": (("--jobs",), dict(
         type=int, default=0, metavar="N",
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser(
         "study", help="run the full study and print tables",
         parents=[_options_parent(
-            *_SCALE, *_INGEST, *_SHARDED, *_OBSERVABILITY
+            *_SCALE, *_INGEST, "jobs", *_OBSERVABILITY
         )],
     )
     study.add_argument(
@@ -505,30 +505,12 @@ def cmd_study(args: argparse.Namespace) -> int:
             "warning: --fault-rate with --on-error strict will abort on the "
             "first planted fault", file=sys.stderr,
         )
-    jobs = getattr(args, "jobs", 0)
-    if fault_plan is not None and jobs:
-        print(
-            "error: --fault-rate is incompatible with --jobs (fault "
-            "injection runs on the in-memory serialized logs)",
-            file=sys.stderr,
-        )
-        return 2
-    store = getattr(args, "store", None)
-    if store is not None and not jobs:
-        print(
-            "error: --store requires --jobs >= 1 (the columnar store "
-            "backs the sharded path)",
-            file=sys.stderr,
-        )
-        return 2
     if args.trace is not None:
         tracing.configure(args.trace)
     study = CampusStudy(
         seed=args.seed, months=args.months, connections_per_month=args.cpm,
-        fault_plan=fault_plan, jobs=jobs,
+        fault_plan=fault_plan, jobs=args.jobs,
         options=IngestOptions(on_error=args.on_error, fast_path=args.fast_path),
-        store=store,
-        pipeline=getattr(args, "pipeline", None),
     )
     if getattr(args, "json", False):
         from repro.core.export import study_to_json

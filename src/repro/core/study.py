@@ -8,18 +8,17 @@ analysis registry (:mod:`repro.core.protocol`): one pass over the
 dataset fills a partial aggregate per registered analysis, and each
 method just finalizes its partial.
 
-With ``jobs > 0`` the campaign is written as a rotated monthly archive
-and analyzed by the :class:`~repro.core.parallel.ShardExecutor` over
-that many worker processes; the merged partials finalize to tables
-byte-identical to the in-memory sequential run.
+With ``jobs > 0`` the ingested logs are served month by month through
+a :class:`~repro.zeek.files.LogsSource` to the
+:class:`~repro.core.parallel.ShardExecutor` over that many worker
+processes; the merged partials finalize to tables byte-identical to the
+in-memory sequential run.
 """
 
 from __future__ import annotations
 
 import io
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core import metrics, protocol, tracing
 from repro.core.dataset import MtlsDataset
@@ -35,6 +34,7 @@ from repro.netsim import (
 )
 from repro.zeek import (
     IngestReport,
+    LogsSource,
     ZeekLogs,
     read_ssl_log,
     read_x509_log,
@@ -57,6 +57,16 @@ class StudyResult:
     corruption: CorruptionSummary | None = None
 
 
+@dataclass
+class _Ingested:
+    """The study's one ingest step: the logs the analyses read, and
+    their join (whose ``ingest_report`` is the re-read's, if any)."""
+
+    logs: ZeekLogs
+    dataset: MtlsDataset
+    corruption: CorruptionSummary | None
+
+
 class CampusStudy:
     """Reproduces the paper's study on a synthetic campus campaign.
 
@@ -66,11 +76,11 @@ class CampusStudy:
     the resilient reader — the same path an operator's rotated archive
     takes — and the study report gains an ingest-health section.
 
-    ``jobs`` selects the execution strategy: ``0`` (default) analyzes
-    in-process over the in-memory dataset; ``N >= 1`` round-trips the
-    campaign through a rotated on-disk archive and fans the monthly
-    shards out over ``N`` processes (``1`` = the same shard path run
-    inline). Tables are byte-identical either way.
+    ``jobs`` selects the execution strategy: ``0`` (default) enriches
+    and analyzes the whole dataset in-process; ``N >= 1`` fans the
+    monthly shards of the same ingested logs out over ``N`` processes
+    (``1`` = the same shard path run inline). Tables, the ingest-health
+    section included, are byte-identical either way.
     """
 
     def __init__(
@@ -84,8 +94,6 @@ class CampusStudy:
         fault_plan: FaultPlan | None = None,
         jobs: int = 0,
         options: IngestOptions | None = None,
-        store: Path | str | None = None,
-        pipeline: object = None,
     ) -> None:
         opts = IngestOptions.coerce(options)
         self.config = config or ScenarioConfig(
@@ -96,30 +104,15 @@ class CampusStudy:
         self.on_error = opts.on_error
         self.fast_path = opts.fast_path
         self.fault_plan = fault_plan
-        if jobs and fault_plan is not None:
-            raise ValueError(
-                "fault injection corrupts the in-memory serialized logs; "
-                "it is not supported with the sharded path (jobs > 0)"
-            )
-        if store is not None and not jobs:
-            raise ValueError(
-                "a columnar store only applies to the sharded path; "
-                "pass jobs >= 1 together with store"
-            )
         self.jobs = jobs
-        self.store = store
-        #: Intra-shard pipelining mode for the sharded path (``None`` =
-        #: auto); ignored by the in-memory path, which has no ingest
-        #: phase to overlap. Tables are byte-identical in every mode.
-        self.pipeline = pipeline
         #: Run metrics for this study: phase timers plus ingest/analysis
         #: counters; for sharded runs the campaign's merged worker
         #: metrics are folded in.
         self.metrics = metrics.MetricsRegistry()
         self._simulation: SimulationResult | None = None
+        self._ingested: _Ingested | None = None
         self._result: StudyResult | None = None
         self._partials: dict[str, protocol.AnalysisPartial] | None = None
-        self._campaign = None  # parallel.CampaignResult when jobs > 0
 
     def _simulate(self) -> SimulationResult:
         if self._simulation is None:
@@ -127,18 +120,26 @@ class CampusStudy:
                 self._simulation = TrafficGenerator(self.config).generate()
         return self._simulation
 
+    def _ingest(self) -> _Ingested:
+        """Simulate, (optionally) re-ingest, and join (cached)."""
+        if self._ingested is None:
+            logs = self._simulate().logs
+            report = corruption = None
+            with metrics.scoped(self.metrics):
+                if self.fault_plan is not None or self.on_error.lenient:
+                    logs, report, corruption = self._reingest(logs)
+                dataset = MtlsDataset.from_logs(logs, ingest_report=report)
+            self._ingested = _Ingested(logs, dataset, corruption)
+        return self._ingested
+
     def run(self) -> StudyResult:
         """Generate traffic and run enrichment in-process (cached)."""
         if self._result is not None:
             return self._result
+        ingested = self._ingest()
         simulation = self._simulate()
-        logs = simulation.logs
-        ingest_report = None
-        corruption = None
+        dataset = ingested.dataset
         with metrics.scoped(self.metrics):
-            if self.fault_plan is not None or self.on_error.lenient:
-                logs, ingest_report, corruption = self._reingest(logs)
-            dataset = MtlsDataset.from_logs(logs, ingest_report=ingest_report)
             enricher = Enricher(
                 bundle=simulation.trust_bundle,
                 ct_log=simulation.ct_log,
@@ -160,7 +161,8 @@ class CampusStudy:
                 )
         self._result = StudyResult(
             simulation=simulation, dataset=dataset, enriched=enriched,
-            ingest_report=ingest_report, corruption=corruption,
+            ingest_report=dataset.ingest_report,
+            corruption=ingested.corruption,
         )
         return self._result
 
@@ -218,8 +220,8 @@ class CampusStudy:
 
     def _run_sharded(self) -> dict[str, protocol.AnalysisPartial]:
         from repro.core.parallel import ShardExecutor
-        from repro.zeek.files import write_rotated_logs
 
+        logs = self._ingest().logs
         simulation = self._simulate()
         executor = ShardExecutor(
             simulation.trust_bundle,
@@ -227,15 +229,11 @@ class CampusStudy:
             options=self.options,
             filter_interception=self.filter_interception,
             jobs=self.jobs,
-            pipeline=self.pipeline,
         )
-        with tempfile.TemporaryDirectory(prefix="campus-shards-") as tmp:
-            with metrics.scoped(self.metrics), tracing.span("study.write_shards"):
-                write_rotated_logs(simulation.logs, Path(tmp))
-            self._campaign = executor.run_directory(tmp, store=self.store)
-        if self._campaign.metrics is not None:
-            self.metrics.merge(self._campaign.metrics)
-        return self._campaign.partials
+        campaign = executor.run_source(LogsSource(logs))
+        if campaign.metrics is not None:
+            self.metrics.merge(campaign.metrics)
+        return campaign.partials
 
     def table(self, name: str) -> Table:
         """Finalize one registered analysis (e.g. ``"table5"``)."""
@@ -341,14 +339,8 @@ class CampusStudy:
     def ingest_health(self) -> Table:
         """Ingest-health section: what the resilient reader consumed,
         dropped, and recovered (strict in-memory runs have no report)."""
-        if self.jobs:
-            self.partials()
-            return render_ingest_health(
-                self._campaign.ingest,
-                dangling_fuid_refs=self._campaign.dangling_fuid_refs,
-            )
-        result = self.run()
-        if result.ingest_report is None:
+        dataset = self._ingest().dataset
+        if dataset.ingest_report is None:
             table = Table("Ingest health", ["Metric", "Value"])
             table.add_note(
                 "strict in-memory run — logs never went through the "
@@ -357,8 +349,8 @@ class CampusStudy:
             )
             return table
         return render_ingest_health(
-            result.ingest_report,
-            dangling_fuid_refs=result.dataset.dangling_fuid_refs,
+            dataset.ingest_report,
+            dangling_fuid_refs=dataset.dangling_fuid_refs,
         )
 
     def run_metrics(self) -> Table:
@@ -371,9 +363,6 @@ class CampusStudy:
     def all_tables(self) -> list[Table]:
         """Every table/figure in paper order (used by the full example)."""
         tables = [self.table(name) for name in protocol.PAPER_TABLE_ORDER]
-        if self.jobs:
-            if self.on_error.lenient:
-                tables.append(self.ingest_health())
-        elif self.run().ingest_report is not None:
+        if self._ingest().dataset.ingest_report is not None:
             tables.append(self.ingest_health())
         return tables

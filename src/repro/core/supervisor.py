@@ -494,13 +494,18 @@ class ShardSupervisor:
                 slot.conn.send((kind, task.key, task.attempt, task.payload))
 
             # Wait for a result, a death, a timeout, or backoff expiry.
-            deadlines = [s.deadline for s in busy() if s.deadline is not None]
-            wakeups = deadlines + [t.eligible_at for t in pending]
+            # A backoff expiry matters only to an idle slot: while every
+            # slot is busy, the next result frees one, and a queued task
+            # that is already eligible must not turn the wait into a poll.
+            running = busy()
+            wakeups = [s.deadline for s in running if s.deadline is not None]
+            if len(running) < len(self._slots):
+                wakeups += [t.eligible_at for t in pending if t.eligible_at > now]
             timeout = 0.25
             if wakeups:
                 timeout = max(0.0, min(min(wakeups) - time.monotonic(), 0.25))
             waitables = {}
-            for slot in busy():
+            for slot in running:
                 waitables[slot.conn] = slot
                 waitables[slot.process.sentinel] = slot
             if waitables:

@@ -836,3 +836,16 @@ class LiveLogWriter:
             if target is not None:
                 rotated.append(target)
         return rotated
+
+    def close(self) -> None:
+        """Close the live files where they stand — no ``#close`` footer,
+        no rename, like a writer that stopped mid-capture. Idempotent;
+        :meth:`finalize` leaves nothing open to close."""
+        while self._files:
+            self._files.popitem()[1].close()
+
+    def __enter__(self) -> "LiveLogWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

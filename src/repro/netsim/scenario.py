@@ -2,9 +2,9 @@
 
 Since the scenario-layer refactor, the paper-calibrated constants live
 in ``repro/netsim/scenarios/campus.toml`` — the campus is just one spec
-in the scenario library. This module loads that spec once and re-exports
-the familiar constant names for existing callers, plus the legacy
-:class:`ScenarioConfig` knob bundle, which now resolves to a
+in the scenario library. This module loads that spec once
+(:data:`CAMPUS_WORKLOAD`, :data:`CAMPUS_TRUST`) and defines the
+:class:`ScenarioConfig` knob bundle, which resolves to a
 :class:`repro.netsim.layers.SiteRuntime` via :meth:`ScenarioConfig.site`.
 
 All fractions and counts are lifted from the paper's tables and prose.
@@ -51,57 +51,6 @@ CAMPUS_SPEC = load_spec("campus")
 CAMPUS_WORKLOAD: WorkloadMix = CAMPUS_SPEC.workloads["campus"]
 CAMPUS_TRUST: TrustEcosystem = CAMPUS_SPEC.trusts["campus"]
 
-# --------------------------------------------------------------------------
-# Legacy constant re-exports (now sourced from campus.toml).
-# --------------------------------------------------------------------------
-
-MUTUAL_SHARE_START = CAMPUS_WORKLOAD.mutual_share_start
-MUTUAL_SHARE_END = CAMPUS_WORKLOAD.mutual_share_end
-HEALTH_SURGE_BOOST = CAMPUS_WORKLOAD.health_surge_boost
-RAPID7_DROP = CAMPUS_WORKLOAD.rapid7_drop
-TLS13_SHARE = CAMPUS_WORKLOAD.tls13_share
-
-INBOUND_MUTUAL_PORTS = CAMPUS_WORKLOAD.inbound_mutual_ports
-OUTBOUND_MUTUAL_PORTS = CAMPUS_WORKLOAD.outbound_mutual_ports
-INBOUND_NONMUTUAL_PORTS = CAMPUS_WORKLOAD.inbound_nonmutual_ports
-OUTBOUND_NONMUTUAL_PORTS = CAMPUS_WORKLOAD.outbound_nonmutual_ports
-
-INBOUND_ASSOCIATIONS = CAMPUS_WORKLOAD.inbound_associations
-INBOUND_CLIENT_SHARES = CAMPUS_WORKLOAD.inbound_client_shares
-OUTBOUND_CLIENT_ISSUERS = CAMPUS_WORKLOAD.outbound_client_issuers
-OUTBOUND_SERVER_PUBLIC_FRACTION = CAMPUS_WORKLOAD.outbound_server_public_fraction
-OUTBOUND_SLDS = CAMPUS_WORKLOAD.outbound_slds
-OUTBOUND_MISSING_SNI_FRACTION = CAMPUS_WORKLOAD.outbound_missing_sni_fraction
-
-EDUCATION_CLIENT_CN_MIX = CAMPUS_WORKLOAD.education_client_cn_mix
-DEVICE_CLIENT_CN_MIX = CAMPUS_WORKLOAD.device_client_cn_mix
-PUBLIC_CLIENT_CN_MIX = CAMPUS_WORKLOAD.public_client_cn_mix
-
-#: Weights for which org/product string a device CN carries (Table 8
-#: prose; the authoritative copy lives in repro.netsim.content).
-ORG_PRODUCT_WEIGHTS: dict[str, float] = {
-    "WebRTC": 0.88,
-    "twilio": 0.06,
-    "hangouts": 0.035,
-    "Lenovo ThinkPad": 0.015,
-    "Android Keystore": 0.010,
-}
-
-DUMMY_ISSUER_COHORTS = CAMPUS_TRUST.dummy_cohorts
-SHARED_CERT_COHORTS = CAMPUS_TRUST.shared_cohorts
-INCORRECT_DATE_COHORTS = CAMPUS_TRUST.incorrect_date_cohorts
-EXPIRED_PUBLIC_CLUSTERS = CAMPUS_TRUST.expired_clusters
-INBOUND_EXPIRED_ASSOCIATIONS = CAMPUS_TRUST.inbound_expired_associations
-
-EXTREME_VALIDITY_TOTAL = CAMPUS_TRUST.extreme_validity.total
-EXTREME_VALIDITY_PUBLIC = CAMPUS_TRUST.extreme_validity.public
-EXTREME_VALIDITY_OUTLIER_DAYS = CAMPUS_TRUST.extreme_validity.outlier_days
-EXTREME_VALIDITY_OUTLIER_SLD = CAMPUS_TRUST.extreme_validity.outlier_sld
-
-#: §3.2: interception — 186 issuers, 8.4% of unique certs excluded.
-INTERCEPTION_TARGET_CERT_FRACTION = 0.084
-PAPER_INTERCEPTION_ISSUERS = 186
-
 
 @dataclass
 class ScenarioConfig:
@@ -119,11 +68,11 @@ class ScenarioConfig:
     connections_per_month: int = 2000
     #: Multiplier applied to paper-scale cohort counts (clients/certs).
     cohort_scale: float = 0.002
-    tls13_share: float = TLS13_SHARE
-    mutual_share_start: float = MUTUAL_SHARE_START
-    mutual_share_end: float = MUTUAL_SHARE_END
-    health_surge_boost: float = HEALTH_SURGE_BOOST
-    rapid7_drop: float = RAPID7_DROP
+    tls13_share: float = CAMPUS_WORKLOAD.tls13_share
+    mutual_share_start: float = CAMPUS_WORKLOAD.mutual_share_start
+    mutual_share_end: float = CAMPUS_WORKLOAD.mutual_share_end
+    health_surge_boost: float = CAMPUS_WORKLOAD.health_surge_boost
+    rapid7_drop: float = CAMPUS_WORKLOAD.rapid7_drop
     #: Of mutual connections, the fraction arriving at campus servers.
     mutual_inbound_fraction: float = 0.55
     #: Of non-mutual connections, the fraction leaving campus.

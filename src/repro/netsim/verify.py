@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.netsim.clock import CampaignClock
 from repro.netsim.compose import ScenarioResult
+from repro.zeek.files import LogsSource
 
 
 @dataclass
@@ -65,9 +66,7 @@ def verify_scenario(result: ScenarioResult) -> VerificationReport:
     """Run the full pipeline on a scenario run and check its ground truth."""
     # Imported here: repro.core.enrich imports repro.netsim.network, so a
     # module-level import would make the two packages mutually recursive.
-    from repro.core import protocol
-    from repro.core.dataset import MtlsDataset
-    from repro.core.enrich import Enricher
+    from repro.core.parallel import ShardExecutor
 
     truth = result.ground_truth
     report = VerificationReport(scenario=truth.scenario)
@@ -75,18 +74,16 @@ def verify_scenario(result: ScenarioResult) -> VerificationReport:
     def check(name: str, ok: bool, detail: str = "") -> None:
         report.checks.append(Check(name, bool(ok), "" if ok else detail))
 
-    dataset = MtlsDataset.from_logs(result.logs)
-    enricher = Enricher(
-        bundle=result.trust_bundle, ct_log=result.ct_log,
-        filter_interception=True,
+    campaign = ShardExecutor(result.trust_bundle, result.ct_log).run_source(
+        LogsSource(result.logs)
     )
-    enriched = enricher.enrich(dataset)
-    partials = protocol.run_analyses(enriched, raw=dataset)
-    results = {name: partial.result() for name, partial in partials.items()}
+    results = {
+        name: partial.result() for name, partial in campaign.partials.items()
+    }
     observed = _observed_fingerprints(result)
 
     # ---- interception filter: exact -----------------------------------
-    interception = enriched.interception
+    interception = campaign.interception
     check(
         "interception.flagged_issuers",
         interception.flagged_issuers == truth.expected_flagged_issuers,

@@ -162,7 +162,7 @@ def ensure_store(
     if (store_dir / MANIFEST_NAME).exists():
         try:
             existing = ColumnarStoreSource(store_dir)
-        except (StoreFormatError, OSError, ValueError, KeyError):
+        except (StoreFormatError, OSError, ValueError):
             existing = None
         if existing is not None:
             if existing.matches(

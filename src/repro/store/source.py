@@ -66,6 +66,9 @@ MANIFEST_NAME = "manifest.json"
 #: Name of the advisory lock file inside a store directory.
 LOCK_NAME = ".lock"
 
+#: Top-level manifest entries every reader of a store relies on.
+_MANIFEST_KEYS = ("months", "options", "source", "ssl_shards", "x509")
+
 
 def store_lock(store: Path | str) -> FileLock:
     """The advisory lock coordinating writers/readers of one store.
@@ -91,8 +94,8 @@ def read_manifest(store: Path | str, *, op: str) -> dict:
 
     Raises :class:`StoreFormatError` — naming the repack that fixes it —
     when the manifest is missing or torn, declares another format or
-    codec, or lists a file without the byte length and CRC32 that every
-    integrity check is anchored on.
+    codec, lacks one of its top-level entries, or lists a file without
+    the byte length and CRC32 that every integrity check is anchored on.
     """
     try:
         with store_lock(store).shared(op=op):
@@ -120,7 +123,20 @@ def read_manifest(store: Path | str, *, op: str) -> dict:
             f"unsupported store codec {manifest.get('codec')!r} (this "
             f"build reads {CODEC_VERSION}); repack the store (`repro pack`)"
         )
-    for filename, entry in manifest_files(manifest).items():
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise StoreFormatError(
+            f"malformed store manifest: no {', '.join(missing)}; repack "
+            "the store (`repro pack`)"
+        )
+    try:
+        files = manifest_files(manifest)
+    except (AttributeError, KeyError, TypeError):
+        raise StoreFormatError(
+            "malformed store manifest: unreadable file list; repack the "
+            "store (`repro pack`)"
+        ) from None
+    for filename, entry in files.items():
         if "bytes" not in entry or "crc32" not in entry:
             raise StoreFormatError(
                 f"malformed store manifest: {filename} records no byte "
@@ -133,8 +149,8 @@ class ColumnarStoreSource:
     """Serve shard records straight from a packed columnar store.
 
     Drop-in peer of :class:`~repro.zeek.files.TsvDirectorySource`: the
-    executor, the streaming analyzer, and ``CampusStudy`` consume either
-    through the same :class:`~repro.zeek.ingest.RecordSource` protocol.
+    executor consumes either through the same
+    :class:`~repro.zeek.ingest.RecordSource` protocol.
     Pickles by store path only (mmaps and caches are per-process).
     """
 

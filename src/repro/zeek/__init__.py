@@ -41,6 +41,7 @@ from repro.zeek.tsv import (
     x509_log_to_string,
 )
 from repro.zeek.files import (
+    LogsSource,
     TsvDirectorySource,
     read_logs_directory,
     write_rotated_logs,
@@ -54,6 +55,7 @@ __all__ = [
     "IngestReport",
     "RecordSource",
     "ShardRecords",
+    "LogsSource",
     "TsvDirectorySource",
     "SslRecord",
     "X509Record",

@@ -4,6 +4,8 @@ Real Zeek deployments rotate logs (e.g. per day or month) and gzip the
 closed files. This module writes a `ZeekLogs` capture as a rotated
 directory tree and reads such a tree back — including mixed plain/gzip
 content — so the pipeline can run against operator-style archives.
+:class:`LogsSource` serves the same monthly shards from a capture that
+is still in memory.
 """
 
 from __future__ import annotations
@@ -266,17 +268,14 @@ class TsvDirectorySource:
         """One shard's ts-sorted x509 records and their report.
 
         The first call decodes the shard's x509 files; later calls with
-        the same paths and the same ``on_error``/``fast_path``/
-        ``batch_chunk_chars`` are served from that decode: a fresh list
-        over the same records and a fresh report equal to the decode's.
+        the same paths and the same ``on_error``/``fast_path`` are
+        served from that decode: a fresh list over the same records and
+        a fresh report equal to the decode's.
         A failed decode is not kept, so a strict-mode error is raised
         again, identically, for every month.
         """
         _, x509_paths = self._shard_paths(month)
-        key = (
-            x509_paths, options.on_error, options.fast_path,
-            options.batch_chunk_chars,
-        )
+        key = (x509_paths, options.on_error, options.fast_path)
         if self._x509_decoded is None or self._x509_decoded[0] != key:
             report = IngestReport()
             records = _read_many(
@@ -334,3 +333,43 @@ class TsvDirectorySource:
         return hashlib.sha256(
             json.dumps(entries, sort_keys=True).encode("utf-8")
         ).hexdigest()
+
+
+class LogsSource:
+    """:class:`~repro.zeek.ingest.RecordSource` over an in-memory
+    :class:`ZeekLogs` capture.
+
+    Serves the shards :class:`TsvDirectorySource` would serve from the
+    capture's rotated archive: one per :func:`partition_by_month` month,
+    each with that month's ssl records and the full x509 stream, both
+    ts-sorted. The caller has already ingested the records, so every
+    shard's reports are empty and ``options`` is not consulted. Each
+    shard gets fresh lists over the same records.
+    """
+
+    def __init__(self, logs: ZeekLogs) -> None:
+        self._ssl = {
+            month: sorted(records, key=lambda r: r.ts)
+            for month, records in partition_by_month(logs.ssl).items()
+        }
+        self._x509 = sorted(logs.x509, key=lambda r: r.ts)
+
+    def months(self) -> tuple[str, ...]:
+        return tuple(self._ssl)
+
+    def read_month(self, month: str, options: IngestOptions) -> ShardRecords:
+        try:
+            ssl = self._ssl[month]
+        except KeyError:
+            known = ", ".join(self._ssl)
+            raise KeyError(f"no shard for month {month!r} (have: {known})") from None
+        return ShardRecords(
+            month=month, ssl=list(ssl), x509=list(self._x509),
+            ssl_report=IngestReport(), x509_report=IngestReport(),
+        )
+
+    def identity(self) -> str:
+        """Identity of the shard layout (months and record counts)."""
+        counts = {month: len(ssl) for month, ssl in self._ssl.items()}
+        counts["x509"] = len(self._x509)
+        return hashlib.sha256(json.dumps(counts).encode("utf-8")).hexdigest()

@@ -56,16 +56,16 @@ class FastPath(str, enum.Enum):
     """Which decode engine readers and enrichers use.
 
     ``off`` forces the reference per-field implementation (the
-    differential oracle); ``batch`` the vectorized whole-buffer engine
-    that decodes columns in bulk. ``auto`` resolves to the library
-    default, which is *batch*. The engines are proven byte-identical by
-    ``tests/differential``, so the modes exist only as operator escape
-    hatches and as differential baselines — never as semantic switches.
+    differential oracle); ``auto`` (the default) the vectorized
+    whole-buffer batch engine that decodes columns in bulk, plus the
+    per-certificate fact cache. The engines are proven byte-identical by
+    ``tests/differential``, so the modes exist only as an operator
+    escape hatch and as the differential baseline — never as semantic
+    switches.
     """
 
     OFF = "off"
     AUTO = "auto"
-    BATCH = "batch"
 
     @classmethod
     def coerce(cls, value: "FastPath | str") -> "FastPath":
@@ -295,10 +295,6 @@ class IngestOptions:
     fast_path: FastPath = FastPath.AUTO
     report: IngestReport | None = None
     path: str | None = None
-    #: Read-buffer size for the batch engine (``None`` = library
-    #: default). Output is chunk-size-invariant (proven by the splitter
-    #: property tests), so this is a tuning knob, never identity.
-    batch_chunk_chars: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "on_error", ErrorPolicy.coerce(self.on_error))
@@ -351,10 +347,12 @@ class RecordSource(Protocol):
     """Anything the pipeline can pull shard records from.
 
     Implementations: :class:`repro.zeek.files.TsvDirectorySource` (a
-    rotated TSV archive) and :class:`repro.store.ColumnarStoreSource`
-    (the parse-once columnar store). Every entry point that used to take
-    a directory path takes one of these instead, which is what makes
-    stored and raw inputs interchangeable.
+    rotated TSV archive), :class:`repro.store.ColumnarStoreSource`
+    (the parse-once columnar store) and
+    :class:`repro.zeek.files.LogsSource` (an in-memory capture). Every
+    entry point that used to take a directory path takes one of these
+    instead, which is what makes stored, raw and generated inputs
+    interchangeable.
     """
 
     def months(self) -> tuple[str, ...]:

@@ -500,9 +500,9 @@ def _compile_decoder(
 # the splitter property suite).
 # ---------------------------------------------------------------------------
 
-#: Default read-buffer size for the batch engine. Output is invariant
-#: under chunk size (property-tested down to 1 char); this only trades
-#: peak memory against per-chunk overhead.
+#: Read-buffer size for the batch engine, read at call time. Output is
+#: invariant under chunk size (the splitter property tests patch it down
+#: to 1 char); it only trades peak memory against per-chunk overhead.
 BATCH_CHUNK_CHARS = 1 << 20
 
 
@@ -703,7 +703,6 @@ class _LogReader:
         fast_converters: Callable[[], list[tuple[str, Callable | None]]],
         *,
         batched: bool = False,
-        chunk_chars: int | None = None,
     ) -> None:
         self.expected_path = expected_path
         self.field_names = [name for name, _ in fields]
@@ -721,7 +720,6 @@ class _LogReader:
         #: The batch (columnar) engine; otherwise every row goes through
         #: the reference `_handle_row`.
         self.batched = batched
-        self.chunk_chars = chunk_chars
         self._fast_converters = fast_converters
         #: column-order key -> compiled decoder (one per permutation).
         self._decoders: dict[tuple[int, ...] | None, Callable] = {}
@@ -1050,9 +1048,7 @@ class _LogReader:
             )
         return line_number + len(lines)
 
-    def iter_batches(
-        self, source: TextIO, chunk_chars: int | None = None
-    ) -> Iterator[list]:
+    def iter_batches(self, source: TextIO) -> Iterator[list]:
         """Stream the file as decoded record batches (one per chunk).
 
         The incremental sibling of :meth:`read` for the batch engine:
@@ -1063,7 +1059,7 @@ class _LogReader:
         (``files_read``, missing ``#close``) as :meth:`read`.
         """
         self.report.files_read += 1
-        size = chunk_chars or self.chunk_chars or BATCH_CHUNK_CHARS
+        size = BATCH_CHUNK_CHARS
         pending = ""
         line_number = 0
         read = source.read
@@ -1139,8 +1135,8 @@ def read_ssl_log(
 ) -> list[SslRecord]:
     """Parse a Zeek-format ssl.log stream under :class:`IngestOptions`.
 
-    ``options.fast_path`` selects the batch engine (``batch``/``auto``)
-    or the reference per-field implementation (``off``); both produce
+    ``options.fast_path`` selects the batch engine (``auto``) or the
+    reference per-field implementation (``off``); both produce
     byte-identical records, errors, and reports.
     """
     return _reader("ssl", source, IngestOptions.coerce(options)).read(source)
@@ -1161,7 +1157,6 @@ def _reader(kind: str, source: TextIO, opts: IngestOptions) -> _LogReader:
         opts.path or getattr(source, "name", None),
         converters,
         batched=opts.fast_path.enabled,
-        chunk_chars=opts.batch_chunk_chars,
     )
 
 

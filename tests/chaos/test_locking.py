@@ -157,8 +157,8 @@ class TestServeSingleOwner:
     ):
         logdir = tmp_path / "logs"
         ckpt = tmp_path / "state" / "ckpt.json"
-        writer = LiveLogWriter(simulation.logs, logdir)
-        writer.write_next(10)
+        with LiveLogWriter(simulation.logs, logdir) as writer:
+            writer.write_next(10)
         daemon = LiveTailDaemon(
             logdir, simulation.trust_bundle, checkpoint_path=ckpt
         )
@@ -181,7 +181,8 @@ class TestServeSingleOwner:
         from repro.core.durable import TMP_SUFFIX
 
         logdir = tmp_path / "logs"
-        LiveLogWriter(simulation.logs, logdir).write_next(5)
+        with LiveLogWriter(simulation.logs, logdir) as writer:
+            writer.write_next(5)
         ckpt = logdir / "ckpt.json"  # checkpoint sharing the log dir
         mine = logdir / f"ckpt.json.dead{TMP_SUFFIX}"
         theirs = logdir / f"ssl.log.inflight{TMP_SUFFIX}"

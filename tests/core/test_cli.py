@@ -153,13 +153,31 @@ class TestAnalyze:
         assert code == 0
         assert "Figure 1" in capsys.readouterr().out
 
-    def test_study_jobs_rejects_fault_rate(self, capsys):
-        code = main([
-            "study", "--months", "2", "--cpm", "120", "--jobs", "2",
-            "--fault-rate", "0.01", "--on-error", "skip",
-        ])
-        assert code == 2
-        assert "incompatible" in capsys.readouterr().err
+    def test_study_jobs_fault_rate_matches_jobs0(self, capsys):
+        argv = [
+            "study", "--months", "2", "--cpm", "120",
+            "--fault-rate", "0.02", "--on-error", "skip",
+        ]
+        assert main([*argv, "--jobs", "0"]) == 0
+        in_memory = capsys.readouterr().out
+        assert "Ingest health" in in_memory
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == in_memory
+
+    @pytest.mark.parametrize(
+        "flag", [["--store", "store-dir"], ["--pipeline", "on"]]
+    )
+    def test_study_has_no_sharded_switches(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["study", "--months", "2", "--cpm", "120", "--jobs", "1", *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_fast_path_batch_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["study", "--fast-path", "batch"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestAnalyzeSupervision:

@@ -19,7 +19,11 @@ from repro.zeek import (
     read_x509_log,
     ssl_log_to_string,
 )
-from repro.zeek.files import TsvDirectorySource, read_logs_directory
+from repro.zeek.files import (
+    LogsSource,
+    TsvDirectorySource,
+    read_logs_directory,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +53,7 @@ class TestIngestOptions:
         assert derived.report is report
 
     def test_identity_excludes_fast_path(self):
-        fast = IngestOptions(fast_path="batch")
+        fast = IngestOptions(fast_path="auto")
         slow = IngestOptions(fast_path="off")
         assert fast.identity() == slow.identity()
         assert IngestOptions(on_error="skip").identity() != fast.identity()
@@ -64,11 +68,13 @@ class TestIngestOptions:
 
         write_rotated_logs(simulation.logs, tmp_path)
         assert isinstance(TsvDirectorySource(tmp_path), RecordSource)
+        assert isinstance(LogsSource(simulation.logs), RecordSource)
 
 
 class TestLegacySpellings:
-    """The pre-``IngestOptions`` keywords and the positional bundle are
-    gone: each old spelling is now a plain ``TypeError``."""
+    """The pre-``IngestOptions`` keywords, the positional bundle and the
+    study's ``store``/``pipeline`` switches are gone: each old spelling
+    is now a plain ``TypeError``."""
 
     @pytest.mark.parametrize(
         "call",
@@ -93,6 +99,10 @@ class TestLegacySpellings:
             lambda sim, text: CampusStudy(seed=1, months=1, on_error="skip"),
             lambda sim, text: CampusStudy(seed=1, months=1, fast_path="off"),
             lambda sim, text: CampusStudy(1, 1, 10, None, True, "skip"),
+            lambda sim, text: CampusStudy(seed=1, months=1, jobs=1, store="s"),
+            lambda sim, text: CampusStudy(
+                seed=1, months=1, jobs=1, pipeline="on"
+            ),
             lambda sim, text: StreamingAnalyzer(sim.trust_bundle, fast_path="off"),
         ],
         ids=[
@@ -104,6 +114,7 @@ class TestLegacySpellings:
             "analyze_directory-positional",
             "CampusStudy-on_error", "CampusStudy-fast_path",
             "CampusStudy-positional",
+            "CampusStudy-store", "CampusStudy-pipeline",
             "StreamingAnalyzer-fast_path",
         ],
     )
@@ -114,6 +125,9 @@ class TestLegacySpellings:
     def test_fast_path_on_is_gone(self):
         with pytest.raises(ValueError, match="unknown fast-path mode"):
             IngestOptions(fast_path="on")
+        # ``batch`` named the same engine as ``auto``; it is gone too.
+        with pytest.raises(ValueError, match="unknown fast-path mode"):
+            IngestOptions(fast_path="batch")
         with pytest.raises(ValueError, match="unknown fast-path mode"):
             IngestOptions(fast_path=True)
 

@@ -211,14 +211,28 @@ class TestStudyJobs:
         with pytest.raises(KeyError, match="unknown analysis"):
             study.table("nope")
 
-    def test_fault_plan_incompatible_with_jobs(self):
+    def test_fault_plan_matches_in_memory(self):
+        """Injected faults under quarantine: every table, the
+        ingest-health section included, equal at jobs 0, 1 and 2."""
         from repro.netsim import FaultPlan
 
-        with pytest.raises(ValueError, match="fault injection"):
-            CampusStudy(jobs=2, fault_plan=FaultPlan.uniform(0.01, seed=1))
+        def tables(jobs):
+            study = CampusStudy(
+                seed=41, months=3, connections_per_month=200, jobs=jobs,
+                options=IngestOptions(on_error="quarantine"),
+                fault_plan=FaultPlan.uniform(0.05, seed=29),
+            )
+            return [t.render() for t in study.all_tables()]
+
+        ref = tables(0)
+        assert "Ingest health" in ref[-1]
+        assert "Quarantined lines" in ref[-1]
+        assert tables(1) == ref
+        assert tables(2) == ref
 
     def test_lenient_policy_matches_through_shards(self):
-        """on_error=skip over clean logs: same tables, plus ingest health."""
+        """on_error=skip over clean logs: same tables, ingest health
+        included."""
         skip = IngestOptions(on_error="skip")
         base = CampusStudy(
             seed=41, months=3, connections_per_month=200, options=skip
@@ -229,7 +243,5 @@ class TestStudyJobs:
         )
         ref = [t.render() for t in base.all_tables()]
         got = [t.render() for t in sharded.all_tables()]
-        # Paper tables identical; the trailing ingest-health section
-        # differs only in file accounting (2 files vs one per rotation).
-        assert got[:-1] == ref[:-1]
         assert "Ingest health" in got[-1]
+        assert got == ref

@@ -277,17 +277,17 @@ class TestCheckpointResumeMidBatch:
     def test_no_duplicate_or_lost_rows(self, simulation, fraction):
         text = ssl_log_to_string(simulation.logs.ssl)
         reference = read_ssl_log(
-            io.StringIO(text), IngestOptions(fast_path="batch", path="ssl.log")
+            io.StringIO(text), IngestOptions(fast_path="auto", path="ssl.log")
         )
 
         cut = int(len(text) * fraction)
-        first = TailDecoder("ssl", path="ssl.log", fast_path="batch")
+        first = TailDecoder("ssl", path="ssl.log", fast_path="auto")
         records = first.feed(text[:cut])
         state = first.state_dict()
         assert state["pending"]  # the checkpoint lands mid-record
 
         second = TailDecoder(
-            "ssl", path="ssl.log", fast_path="batch", count_file=False
+            "ssl", path="ssl.log", fast_path="auto", count_file=False
         )
         second.load_state(state)
         records += second.feed(text[cut:])

@@ -8,6 +8,7 @@ clean runs over the same surviving months.
 """
 
 import json
+import multiprocessing.connection
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.supervisor import (
     RetryPolicy,
     RunHealth,
     ShardState,
+    ShardSupervisor,
 )
 from repro.netsim import (
     ScenarioConfig,
@@ -347,6 +349,55 @@ class TestResume:
         assert [t.render() for t in campaign.tables()] == clean_tables
         # The torn scan was re-run, not resumed.
         assert "scan" not in campaign.health.shards[months[0]].resumed_phases
+
+
+class TestParentWait:
+    """The parent blocks on its workers instead of polling them: each
+    phase waits about once per result, retry and backoff expiry."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            pytest.param(False, id="clean"),
+            pytest.param(True, id="transient-backoff", marks=CHAOS),
+        ],
+    )
+    def test_wait_calls_bounded_by_tasks(
+        self, archive, simulation, months, monkeypatch, faults
+    ):
+        phases: list[dict] = []
+        real_wait = multiprocessing.connection.wait
+        real_run = ShardSupervisor._run_processes
+        real_failure = ShardSupervisor._record_failure
+
+        def counting_wait(object_list, timeout=None):
+            phases[-1]["waits"] += 1
+            return real_wait(object_list, timeout)
+
+        def recording_run(self, kind, tasks):
+            phases.append({"tasks": len(tasks), "failures": 0, "waits": 0})
+            return real_run(self, kind, tasks)
+
+        def counting_failure(self, *args, **kwargs):
+            phases[-1]["failures"] += 1
+            return real_failure(self, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", counting_wait)
+        monkeypatch.setattr(ShardSupervisor, "_run_processes", recording_run)
+        monkeypatch.setattr(ShardSupervisor, "_record_failure", counting_failure)
+        plan = (
+            WorkerFaultPlan(transient_failures=((months[1], 1),))
+            if faults else None
+        )
+        _run(
+            archive, simulation, jobs=2, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.05),
+        )
+        assert len(phases) == 2
+        for phase in phases:
+            budget = 3 * (phase["tasks"] + phase["failures"])
+            assert phase["waits"] <= budget, phases
+        assert sum(p["failures"] for p in phases) == (2 if faults else 0)
 
 
 class TestRunHealthReport:

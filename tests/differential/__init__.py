@@ -4,15 +4,18 @@ The batch ingest decoder (:mod:`repro.zeek.tsv`) and the per-certificate
 fact cache (:mod:`repro.x509.facts`) promise *byte-identical* results to
 the slow reference implementations. These helpers run the same input
 through both decoder engines — ``off`` (reference per-field) and
-``batch`` (vectorized whole-buffer) — and assert total equivalence:
+``auto`` (the vectorized whole-buffer batch engine) — and assert total
+equivalence:
 records, ingest reports, and — under the strict policy — the raised
 error's full context.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 
+import repro.zeek.tsv as tsv
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek import (
     ErrorPolicy,
@@ -43,12 +46,23 @@ def corpus_texts(
 
 
 #: Decoder engines under differential test.
-MODES = ("off", "batch")
+MODES = ("off", "auto")
 
 #: Chunk size used for the batch leg: small enough that every corpus
 #: spans many read buffers, so chunk-boundary record splitting is
 #: exercised by default (output is chunk-size-invariant by contract).
 BATCH_TEST_CHUNK = 4096
+
+
+@contextlib.contextmanager
+def batch_chunk_chars(chars: int):
+    """Run the batch engine with ``chars``-sized read buffers."""
+    saved = tsv.BATCH_CHUNK_CHARS
+    tsv.BATCH_CHUNK_CHARS = chars
+    try:
+        yield
+    finally:
+        tsv.BATCH_CHUNK_CHARS = saved
 
 
 def read_one(
@@ -60,10 +74,12 @@ def read_one(
 ) -> tuple[list, IngestReport, TsvFormatError | None]:
     """Run one (kind, policy, mode) combination to completion.
 
-    ``mode`` is a decoder engine (``"off"``/``"batch"``). A strict-mode
-    failure is captured, not propagated: the error object is part of the
-    equivalence contract and must be compared too. The report returned
-    on failure is the partial report at raise time.
+    ``mode`` is a decoder engine (``"off"``/``"auto"``); the batch
+    engine reads ``chunk_chars``-sized buffers (default
+    :data:`BATCH_TEST_CHUNK`). A strict-mode failure is captured, not
+    propagated: the error object is part of the equivalence contract
+    and must be compared too. The report returned on failure is the
+    partial report at raise time.
     """
     report = IngestReport()
     reader = _READERS[kind]
@@ -72,13 +88,10 @@ def read_one(
         fast_path=mode,
         report=report,
         path=f"{kind}.log",
-        batch_chunk_chars=(
-            chunk_chars if chunk_chars is not None
-            else (BATCH_TEST_CHUNK if mode == "batch" else None)
-        ),
     )
     try:
-        records = reader(io.StringIO(text), options)
+        with batch_chunk_chars(chunk_chars or BATCH_TEST_CHUNK):
+            records = reader(io.StringIO(text), options)
     except TsvFormatError as exc:
         return [], report, exc
     return records, report, None
@@ -101,7 +114,7 @@ def assert_equivalent(kind: str, text: str, policy: ErrorPolicy | str) -> None:
     """The batch engine must agree with the reference (``off``) leg, the
     ground truth, on records, report, and error context."""
     slow_records, slow_report, slow_error = read_one(kind, text, policy, "off")
-    records, report, error = read_one(kind, text, policy, "batch")
+    records, report, error = read_one(kind, text, policy, "auto")
     assert _error_context(error) == _error_context(slow_error)
     assert len(records) == len(slow_records)
     assert records == slow_records

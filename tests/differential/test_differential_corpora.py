@@ -87,7 +87,7 @@ def _study(fast_path: str) -> CampusStudy:
 
 @pytest.fixture(scope="module")
 def study_pair():
-    batch, off = _study("batch"), _study("off")
+    batch, off = _study("auto"), _study("off")
     batch.run(), off.run()
     return batch, off
 
@@ -131,7 +131,7 @@ def test_sharded_campaign_identical(tmp_path):
             campaign.dangling_fuid_refs,
         )
 
-    batch_tables, batch_ingest, batch_dangling = run("batch")
+    batch_tables, batch_ingest, batch_dangling = run("auto")
     off_tables, off_ingest, off_dangling = run("off")
     assert batch_tables == off_tables
     assert batch_ingest == off_ingest
@@ -153,7 +153,7 @@ def test_streaming_identical_and_resumable():
     logs, bundle = simulation.logs, simulation.trust_bundle
     half = len(logs.x509) // 2
 
-    batch = StreamingAnalyzer(bundle, options=IngestOptions(fast_path="batch"))
+    batch = StreamingAnalyzer(bundle, options=IngestOptions(fast_path="auto"))
     off = StreamingAnalyzer(bundle, options=IngestOptions(fast_path="off"))
     for analyzer in (batch, off):
         analyzer.add_month(logs.ssl, logs.x509)
@@ -162,7 +162,7 @@ def test_streaming_identical_and_resumable():
     # Snapshot mid-stream with a warm cache, resume, finish: identical
     # to the uninterrupted run — including the cache counters.
     interrupted = StreamingAnalyzer(
-        bundle, options=IngestOptions(fast_path="batch")
+        bundle, options=IngestOptions(fast_path="auto")
     )
     interrupted.add_x509(logs.x509[:half])
     resumed = StreamingAnalyzer.from_snapshot(

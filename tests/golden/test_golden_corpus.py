@@ -70,7 +70,7 @@ def fast_legs():
     """Two full pipeline runs over the corpus in the same session: the
     batch engine and the reference path, both re-ingesting through the
     TSV reader (``on_error="skip"``) so the decoders actually run."""
-    batch = golden.build_study(fast_path="batch", on_error="skip")
+    batch = golden.build_study(fast_path="auto", on_error="skip")
     off = golden.build_study(fast_path="off", on_error="skip")
     return batch, off
 
@@ -81,7 +81,7 @@ def test_fast_leg_matches_slow_leg(fast_legs, name):
     fast_table = golden.table_to_json(batch.table(name))
     slow_table = golden.table_to_json(off.table(name))
     assert fast_table == slow_table, (
-        f"analysis {name!r} differs between --fast-path batch and off — the "
+        f"analysis {name!r} differs between --fast-path auto and off — the "
         "byte-identical contract is broken:\n"
         + golden.diff_tables(slow_table, fast_table)
     )

@@ -140,11 +140,11 @@ class TestChaosEquivalence:
             # SIGKILL — no cleanup, no final checkpoint.
             _get_post(base, "/checkpoint")
             proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)  # reaps it and closes its pipes
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.wait(timeout=10)
+                proc.communicate(timeout=10)
 
         # Restart with --resume; finish the capture (more rotations come
         # from month boundaries and the final rotation of both streams).

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.netsim.scenario import (
-    DUMMY_ISSUER_COHORTS,
-    INBOUND_ASSOCIATIONS,
-    INBOUND_MUTUAL_PORTS,
+    CAMPUS_TRUST,
+    CAMPUS_WORKLOAD,
     MONTH_DEC_2023,
     MONTH_NOV_2023,
     MONTH_OCT_2023,
-    OUTBOUND_CLIENT_ISSUERS,
-    SHARED_CERT_COHORTS,
     ScenarioConfig,
 )
 
@@ -64,29 +61,32 @@ class TestScaling:
 
 class TestCalibrationConstants:
     def test_port_mixes_normalized(self):
-        for mix in (INBOUND_MUTUAL_PORTS,):
+        for mix in (CAMPUS_WORKLOAD.inbound_mutual_ports,):
             assert sum(mix.values()) == pytest.approx(1.0, abs=0.01)
 
     def test_association_shares_normalized(self):
-        total = sum(row[0] for row in INBOUND_ASSOCIATIONS.values())
+        total = sum(
+            row[0] for row in CAMPUS_WORKLOAD.inbound_associations.values()
+        )
         assert total == pytest.approx(1.0, abs=0.01)
 
     def test_outbound_issuer_mix_normalized(self):
-        assert sum(OUTBOUND_CLIENT_ISSUERS.values()) == pytest.approx(1.0, abs=0.01)
+        issuers = CAMPUS_WORKLOAD.outbound_client_issuers
+        assert sum(issuers.values()) == pytest.approx(1.0, abs=0.01)
 
     def test_table4_rows_present(self):
-        orgs = {c.issuer_org for c in DUMMY_ISSUER_COHORTS}
+        orgs = {c.issuer_org for c in CAMPUS_TRUST.dummy_cohorts}
         assert orgs == {
             "Internet Widgits Pty Ltd", "Default Company Ltd",
             "Unspecified", "Acme Co",
         }
 
     def test_table5_rows_present(self):
-        orgs = {c.issuer_org for c in SHARED_CERT_COHORTS}
+        orgs = {c.issuer_org for c in CAMPUS_TRUST.shared_cohorts}
         assert "Globus Online" in orgs
         assert "Outset Medical" in orgs
         assert "IdenTrust" in orgs
-        public = [c for c in SHARED_CERT_COHORTS if c.issuer_public]
+        public = [c for c in CAMPUS_TRUST.shared_cohorts if c.issuer_public]
         assert len(public) == 5  # the gray rows of Table 5
 
 

@@ -317,6 +317,24 @@ class TestRetiredV1:
         assert result.ok and all(f.status == "ok" for f in result.findings)
 
 
+class TestManifestShape:
+    @pytest.mark.parametrize(
+        "key", ["x509", "ssl_shards", "months", "source", "options"]
+    )
+    def test_missing_entry_names_the_repack(self, archive, store_dir, key, capsys):
+        path = store_dir / MANIFEST_NAME
+        manifest = json.loads(path.read_text("utf-8"))
+        del manifest[key]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        for reader in (ColumnarStoreSource, fsck):
+            with pytest.raises(StoreFormatError, match=f"no {key}; repack"):
+                reader(store_dir)
+        assert main(["fsck", str(store_dir)]) == 1
+        assert "repack" in capsys.readouterr().err
+        assert ensure_store(archive, store_dir).manifest[key]
+        assert fsck(store_dir).ok
+
+
 class TestFsckCli:
     def test_clean_store_exits_zero(self, store_dir, capsys):
         assert main(["fsck", str(store_dir)]) == 0

@@ -68,7 +68,7 @@ ESCAPED = {
 def _assert_matches_reference(kind, text, policy, chunk):
     slow_records, slow_report, slow_error = read_one(kind, text, policy, "off")
     records, report, error = read_one(
-        kind, text, policy, "batch", chunk_chars=chunk
+        kind, text, policy, "auto", chunk_chars=chunk
     )
     assert _error_context(error) == _error_context(slow_error), chunk
     assert [repr(r) for r in records] == [repr(r) for r in slow_records], chunk
@@ -133,7 +133,7 @@ def test_crlf_stream_equivalent(kind, chunk):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_crlf_file_round_trip(tmp_path, kind):
+def test_crlf_file_round_trip(tmp_path, kind, monkeypatch):
     """A CRLF file read through the normal text-mode entry point (where
     universal newlines translate ``\\r\\n``) batch-decodes to exactly
     the reference records of the LF original."""
@@ -141,11 +141,9 @@ def test_crlf_file_round_trip(tmp_path, kind):
     path = tmp_path / f"{kind}.log"
     path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     reader = {"ssl": read_ssl_log, "x509": read_x509_log}[kind]
+    monkeypatch.setattr(tsv, "BATCH_CHUNK_CHARS", 777)
     with path.open("r", encoding="utf-8") as source:
-        records = reader(
-            source,
-            IngestOptions(fast_path="batch", batch_chunk_chars=777),
-        )
+        records = reader(source, IngestOptions(fast_path="auto"))
     reference = read_one(kind, text, "strict", "off")[0]
     assert [repr(r) for r in records] == [repr(r) for r in reference]
 
@@ -157,7 +155,7 @@ class TestMemoBounds:
         monkeypatch.setattr(tsv, "_MEMO_MAX_ENTRIES", cap)
         opts = IngestOptions(
             on_error="strict",
-            fast_path="batch",
+            fast_path="auto",
             report=IngestReport(),
             path=f"{kind}.log",
         )

@@ -8,11 +8,13 @@ import pytest
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek import TsvFormatError, files
 from repro.zeek.files import (
+    LogsSource,
     TsvDirectorySource,
     read_logs_directory,
     write_rotated_logs,
 )
-from repro.zeek.ingest import IngestOptions
+from repro.zeek.ingest import IngestOptions, IngestReport
+from repro.zeek import tsv
 from repro.zeek.tsv import read_x509_log
 
 
@@ -164,24 +166,23 @@ class TestBroadcastX509DecodedOnce:
         )
 
     def test_decode_settings_change_forces_a_fresh_decode(
-        self, rotated, x509_decodes
+        self, rotated, x509_decodes, monkeypatch
     ):
+        # Small read buffers: every batch decode spans many chunks.
+        monkeypatch.setattr(tsv, "BATCH_CHUNK_CHARS", 4096)
         source = TsvDirectorySource(rotated)
         month = source.months()[0]
         files_per_decode = len(list(rotated.glob("x509.*")))
         reads = []
         for options in (
-            IngestOptions(fast_path="batch"),
-            IngestOptions(fast_path="batch"),
+            IngestOptions(fast_path="auto"),
+            IngestOptions(fast_path="auto"),
             IngestOptions(fast_path="off"),
-            IngestOptions(fast_path="batch"),
-            IngestOptions(fast_path="batch", batch_chunk_chars=4096),
-            IngestOptions(
-                fast_path="batch", batch_chunk_chars=4096, on_error="skip"
-            ),
+            IngestOptions(fast_path="auto"),
+            IngestOptions(fast_path="auto", on_error="skip"),
         ):
             reads.append(source.read_month(month, options).x509)
-        assert len(x509_decodes) == 5 * files_per_decode
+        assert len(x509_decodes) == 4 * files_per_decode
         assert all(read == reads[0] for read in reads)
 
     def test_strict_error_repeats_for_every_month(
@@ -221,3 +222,38 @@ class TestBroadcastX509DecodedOnce:
         decodes = len(x509_decodes)
         assert clone.read_month(month, options).x509 == x509
         assert len(x509_decodes) == 2 * decodes
+
+
+class TestLogsSource:
+    """The in-memory capture serves the shards of its rotated archive."""
+
+    def test_serves_the_rotated_archives_shards(self, logs, rotated):
+        archive = TsvDirectorySource(rotated)
+        source = LogsSource(logs)
+        options = IngestOptions()
+        assert source.months() == archive.months()
+        for month in source.months():
+            shard = source.read_month(month, options)
+            expected = archive.read_month(month, options)
+            assert [repr(r) for r in shard.ssl] == [repr(r) for r in expected.ssl]
+            assert [repr(r) for r in shard.x509] == [
+                repr(r) for r in expected.x509
+            ]
+            # The records were ingested before they reached the source.
+            assert shard.ssl_report.to_dict() == IngestReport().to_dict()
+            assert shard.x509_report.to_dict() == IngestReport().to_dict()
+
+    def test_every_shard_gets_fresh_lists_and_reports(self, logs):
+        source = LogsSource(logs)
+        month = source.months()[0]
+        first = source.read_month(month, IngestOptions())
+        first.ssl.clear()
+        first.x509.clear()
+        first.ssl_report.record_row()
+        second = source.read_month(month, IngestOptions())
+        assert second.ssl and second.x509
+        assert second.ssl_report.rows_ok == 0
+
+    def test_unknown_month_lists_known(self, logs):
+        with pytest.raises(KeyError, match="have: 2022-05"):
+            LogsSource(logs).read_month("1999-01", IngestOptions())
