@@ -721,8 +721,7 @@ def cmd_intercept(args: argparse.Namespace) -> int:
         fact_cache=FastPath.coerce(args.fast_path).enabled,
     )
     dataset = MtlsDataset(ssl, x509, ingest_report=report)
-    enriched = enricher.enrich(dataset)
-    interception = enriched.interception
+    interception = enricher.interception_report(dataset)
     for issuer in sorted(interception.flagged_issuers):
         print(f"flagged: {issuer}")
     print(

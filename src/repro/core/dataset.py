@@ -20,6 +20,22 @@ def presents_any(ssl: SslRecord, fuids: set[str]) -> bool:
     )
 
 
+def remember_fuid(fuids: dict, fuid: str, value, bound: int | None) -> bool:
+    """Map ``fuid`` to ``value`` as the newest entry of a bounded fuid map.
+
+    A re-announced fuid moves to the newest place; once the map holds
+    more than ``bound`` entries (None = unbounded), the oldest is
+    evicted. Returns True when an entry was evicted. Dict insertion
+    order is the recency order, so it survives a checkpoint.
+    """
+    fuids.pop(fuid, None)
+    fuids[fuid] = value
+    if bound is not None and len(fuids) > bound:
+        del fuids[next(iter(fuids))]
+        return True
+    return False
+
+
 @dataclass
 class ConnView:
     """One established connection joined with its leaf certificates."""

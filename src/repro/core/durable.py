@@ -114,11 +114,11 @@ def durable_write(
     """Publish ``payload`` at ``path`` durably and atomically.
 
     With ``keep_prev`` the existing file (if any) is retained as
-    ``<path>.prev`` before the rename — the last-good fallback the
-    checkpoint loader uses. A crash at any instant leaves the target as
-    either the complete old content or the complete new content; an
-    I/O error (ENOSPC, EIO) unlinks the temp file and re-raises with
-    the target untouched.
+    ``<path>.prev`` before the rename — the last-good fallback
+    :func:`load_checkpoint_json` uses. A crash at any instant leaves
+    the target as either the complete old content or the complete new
+    content; an I/O error (ENOSPC, EIO) unlinks the temp file and
+    re-raises with the target untouched.
     """
     path = Path(path)
     io = _io
@@ -163,6 +163,26 @@ def durable_write_json(
         json.dumps(payload, **dump_kwargs).encode("utf-8"),
         keep_prev=keep_prev,
     )
+
+
+def load_checkpoint_json(path: Path | str) -> tuple[dict, bool]:
+    """Load a JSON checkpoint written with ``keep_prev``, falling back
+    to the last-good copy.
+
+    Returns ``(document, used_prev)``: if the primary file is missing,
+    corrupt, or truncated, the retained ``<path>.prev`` copy is tried;
+    only when neither yields valid JSON does the primary's error
+    propagate.
+    """
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8")), False
+    except (OSError, ValueError, UnicodeDecodeError) as primary_error:
+        prev = path.with_suffix(path.suffix + ".prev")
+        try:
+            return json.loads(prev.read_text(encoding="utf-8")), True
+        except (OSError, ValueError, UnicodeDecodeError):
+            raise primary_error from None
 
 
 def sweep_orphans(

@@ -280,7 +280,7 @@ class Enricher:
             self.fact_cache = fact_cache
 
     def enrich(self, dataset: MtlsDataset) -> EnrichedDataset:
-        report = self._interception_report(dataset)
+        report = self.interception_report(dataset)
         return self.enrich_with_report(dataset, report)
 
     def enrich_with_report(
@@ -329,7 +329,7 @@ class Enricher:
             is_mutual=conn.is_mutual,
         )
 
-    def _interception_report(self, dataset: MtlsDataset) -> InterceptionReport:
+    def interception_report(self, dataset: MtlsDataset) -> InterceptionReport:
         """§3.2: flag issuers that present certificates contradicting the
         CT-logged issuer of the requested domain."""
         scan = self.new_scan()

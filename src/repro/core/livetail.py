@@ -19,23 +19,24 @@ rotating, truncating, and appending to them:
   hot tables switch to reservoir sampling and carry an explicit
   offered/admitted correction factor; cold tables stay exact.
 - :class:`LiveAnalysisEngine` — the incremental twin of the batch
-  pipeline: feeds the :class:`~repro.core.streaming.StreamingAnalyzer`
-  (retaining x509 records per live fuid), rebuilds each established
-  connection's :class:`~repro.core.dataset.ConnView`, labels it through
-  the same :class:`~repro.core.enrich.Enricher` path, and updates every
-  registry partial. Because partials are deterministic independent of
-  update/merge order (the :mod:`repro.core.protocol` contract), live
-  arrival order is irrelevant: with sampling disabled the rendered
-  tables are byte-identical to a batch ``analyze`` of the same rows.
+  pipeline: keeps a bounded fuid → x509 record map, rebuilds each
+  established connection's :class:`~repro.core.dataset.ConnView`,
+  labels it through the same :class:`~repro.core.enrich.Enricher` path,
+  and updates every registry partial. Because partials are
+  deterministic independent of update/merge order (the
+  :mod:`repro.core.protocol` contract), live arrival order is
+  irrelevant: with sampling disabled the rendered tables are
+  byte-identical to a batch ``analyze`` of the same rows.
 - :class:`LiveTailDaemon` — the poll loop, scheduled checkpoints
-  (aggregates *and* tailer cursors in one atomic document, so a SIGKILL
-  rolls both back together — exactly-once resume), and graceful
-  shutdown (final drain + final checkpoint).
+  (engine state *and* tailer cursors in one atomic ``livetail/v2``
+  document, so a SIGKILL rolls both back together — exactly-once
+  resume), and graceful shutdown (final drain + final checkpoint).
 """
 
 from __future__ import annotations
 
 import base64
+import io
 import os
 import pickle
 import random
@@ -45,9 +46,13 @@ import zlib
 from pathlib import Path
 from typing import Iterable
 
-from repro.core import tracing
-from repro.core.dataset import ConnView
-from repro.core.durable import sweep_orphans
+from repro.core import metrics, tracing
+from repro.core.dataset import ConnView, remember_fuid
+from repro.core.durable import (
+    durable_write_json,
+    load_checkpoint_json,
+    sweep_orphans,
+)
 from repro.core.locks import FileLock, LockTimeout
 from repro.core.enrich import AssociationRules, Enricher
 from repro.core.protocol import (
@@ -57,21 +62,23 @@ from repro.core.protocol import (
     load_default_analyses,
     update_partials,
 )
-from repro.core.streaming import StreamingAnalyzer, load_checkpoint_json
 from repro.trust import TrustBundle
 from repro.zeek import (
     ErrorPolicy,
     FastPath,
-    IngestOptions,
     IngestReport,
     SslRecord,
     TailDecoder,
+    X509Record,
+    read_x509_log,
 )
 
-#: Top-level checkpoint key carrying the daemon's own state next to the
-#: streaming snapshot (`StreamingAnalyzer.from_snapshot` ignores it).
+#: The checkpoint document's one top-level key: ``{"format", "tailers",
+#: "state_b64"}``, the last a pickle of the engine's whole state.
 LIVETAIL_STATE_KEY = "livetail"
-LIVETAIL_STATE_FORMAT = "livetail/v1"
+LIVETAIL_STATE_FORMAT = "livetail/v2"
+#: The previous layout, still restored (see `_v1_streaming_state`).
+LIVETAIL_V1_FORMAT = "livetail/v1"
 
 #: Tables that switch to reservoir sampling under overload by default:
 #: the per-connection distribution tables, whose exact update cost is
@@ -560,7 +567,12 @@ class AdmissionController:
 
 
 class LiveAnalysisEngine:
-    """The incremental twin of the batch pipeline (module docstring)."""
+    """The incremental twin of the batch pipeline (module docstring).
+
+    x509 rows land in a fuid → record map bounded by ``max_fuid_map``
+    (:func:`~repro.core.dataset.remember_fuid`); evictions count as
+    ``livetail.fuid_evictions``.
+    """
 
     def __init__(
         self,
@@ -572,16 +584,21 @@ class LiveAnalysisEngine:
         min_interception_domains: int = 5,
         admission: AdmissionController | None = None,
     ) -> None:
+        if max_fuid_map is not None and max_fuid_map <= 0:
+            raise ValueError("max_fuid_map must be positive (or None)")
         load_default_analyses()
-        self.bundle = bundle
-        self.analyzer = StreamingAnalyzer(
-            bundle,
-            options=IngestOptions(fast_path=fast_path),
-            max_fuid_map=max_fuid_map,
-            keep_records=True,
+        self.max_fuid_map = max_fuid_map
+        self.x509_by_fuid: dict[str, X509Record] = {}
+        self.connections_seen = 0
+        self.metrics = metrics.MetricsRegistry()
+        # No CT log: the live filter only tracks fingerprints (an empty
+        # interception report), exactly like a batch `analyze` without
+        # --ct — which is what the equivalence contract compares against.
+        self.enricher = Enricher(
+            bundle, ct_log=None, rules=rules,
+            min_interception_domains=min_interception_domains,
+            fact_cache=FastPath.coerce(fast_path).enabled,
         )
-        self.metrics = self.analyzer.metrics
-        self.enricher = self._make_enricher(rules, min_interception_domains)
         self.context = AnalysisContext(bundle=bundle, rules=self.enricher.rules)
         self.admission = admission or AdmissionController()
         self.partials = self._new_partials()
@@ -589,19 +606,6 @@ class LiveAnalysisEngine:
         self.ssl_report = IngestReport()
         self.x509_report = IngestReport()
         self._rebind_tables()
-
-    def _make_enricher(
-        self, rules: AssociationRules | None, min_interception_domains: int
-    ) -> Enricher:
-        # No CT log: the live filter only tracks fingerprints (an empty
-        # interception report), exactly like a batch `analyze` without
-        # --ct — which is what the equivalence contract compares against.
-        cache = self.analyzer._fact_cache
-        return Enricher(
-            self.bundle, ct_log=None, rules=rules,
-            min_interception_domains=min_interception_domains,
-            fact_cache=cache if cache is not None else False,
-        )
 
     def _new_partials(self) -> dict:
         """Every registry partial, the hot and the cold admission group
@@ -623,27 +627,33 @@ class LiveAnalysisEngine:
     # ------------------------------------------------------------------ feeding
 
     def feed(
-        self, ssl_records: list[SslRecord], x509_records: list
+        self, ssl_records: list[SslRecord], x509_records: list[X509Record]
     ) -> None:
         """Fold one poll batch in (x509 first — Zeek write ordering
         guarantees any referenced certificate row is durable before the
         ssl row referencing it)."""
-        self.analyzer.add_x509(x509_records)
+        for record in x509_records:
+            if remember_fuid(
+                self.x509_by_fuid, record.fuid, record, self.max_fuid_map
+            ):
+                self.metrics.inc("livetail.fuid_evictions")
+        self.metrics.inc("streaming.x509_records", len(x509_records))
+        self.metrics.inc("streaming.ssl_records", len(ssl_records))
         established = [r for r in ssl_records if r.established]
+        self.connections_seen += len(established)
         transition = self.admission.observe_batch(len(established))
         if transition == "enter":
             self.metrics.inc("livetail.admission.windows")
         elif transition == "exit":
             self._fold_window()
-        self.analyzer.add_ssl(ssl_records)
         sampling = self.admission.sampling
         views = []
         labelled = []
         for row in established:
             view = ConnView(
                 ssl=row,
-                server_leaf=self.analyzer.x509_for_fuid(row.server_leaf_fuid),
-                client_leaf=self.analyzer.x509_for_fuid(row.client_leaf_fuid),
+                server_leaf=self.x509_by_fuid.get(row.server_leaf_fuid),
+                client_leaf=self.x509_by_fuid.get(row.client_leaf_fuid),
             )
             self.scan.observe(view)
             enriched = self.enricher.label(view)
@@ -706,47 +716,36 @@ class LiveAnalysisEngine:
 
     # ------------------------------------------------------------- persistence
 
-    def state_extra(self, tailer_states: dict) -> dict:
-        """The daemon-side state that rides along inside the streaming
-        checkpoint document (one atomic write covers both)."""
-        blob = pickle.dumps({
-            "partials": self.partials,
-            "scan": self.scan,
-            "ssl_report": self.ssl_report,
-            "x509_report": self.x509_report,
-            "admission": self.admission,
-        })
-        return {
-            LIVETAIL_STATE_KEY: {
-                "format": LIVETAIL_STATE_FORMAT,
-                "tailers": tailer_states,
-                "state_b64": _b64e(blob),
-            }
-        }
-
     def checkpoint(self, path: Path | str, tailer_states: dict) -> Path:
+        """Write the engine's state and the daemon's tailer cursors as
+        one durable ``livetail/v2`` document (fsync before rename, the
+        last good copy kept as ``<path>.prev``)."""
         self.publish_sampling_metrics()
-        return self.analyzer.write_checkpoint(
-            path, extra=self.state_extra(tailer_states)
-        )
-
-    def load_extra(self, extra: dict) -> None:
-        found = extra.get("format")
-        if found != LIVETAIL_STATE_FORMAT:
-            raise ValueError(
-                f"unsupported livetail state format {found!r} "
-                f"(expected {LIVETAIL_STATE_FORMAT!r})"
-            )
-        state = pickle.loads(_b64d(extra["state_b64"]))
-        self.partials = state["partials"]
-        self.scan = state["scan"]
-        # The scan's fact cache is process-local acceleration state,
-        # nulled on pickling; reattach the (restored) shared one.
-        self.scan.fact_cache = self.enricher.fact_cache
-        self.ssl_report = state["ssl_report"]
-        self.x509_report = state["x509_report"]
-        self.admission = state["admission"]
-        self._rebind_tables()
+        self.metrics.inc("streaming.checkpoint_writes")
+        cache = self.enricher.fact_cache
+        with metrics.scoped(self.metrics), tracing.span("streaming.checkpoint"):
+            if cache is not None:
+                self.metrics.mirror_cache(cache.stats, "streaming.certfacts")
+            blob = pickle.dumps({
+                "x509_by_fuid": self.x509_by_fuid,
+                "max_fuid_map": self.max_fuid_map,
+                "connections_seen": self.connections_seen,
+                "certfacts": cache.state_dict() if cache is not None else None,
+                "metrics": self.metrics.state_dict(),
+                "partials": self.partials,
+                "scan": self.scan,
+                "ssl_report": self.ssl_report,
+                "x509_report": self.x509_report,
+                "admission": self.admission,
+            })
+            durable_write_json(path, {
+                LIVETAIL_STATE_KEY: {
+                    "format": LIVETAIL_STATE_FORMAT,
+                    "tailers": tailer_states,
+                    "state_b64": _b64e(blob),
+                }
+            }, keep_prev=True)
+        return Path(path)
 
     @classmethod
     def from_checkpoint_doc(
@@ -756,32 +755,60 @@ class LiveAnalysisEngine:
         *,
         rules: AssociationRules | None = None,
         min_interception_domains: int = 5,
-        admission: AdmissionController | None = None,
     ) -> "LiveAnalysisEngine":
-        """Rebuild a live engine from a checkpoint document (aggregates,
-        partials, scan, reports, and admission state all roll back to
-        the same instant; the tailer cursors under ``"tailers"`` are the
-        daemon's to restore)."""
-        engine = cls.__new__(cls)
-        load_default_analyses()
-        engine.bundle = bundle
-        engine.analyzer = StreamingAnalyzer.from_snapshot(bundle, document)
-        engine.analyzer.keep_records = True
-        engine.metrics = engine.analyzer.metrics
-        engine.enricher = engine._make_enricher(rules, min_interception_domains)
-        engine.context = AnalysisContext(
-            bundle=bundle, rules=engine.enricher.rules
+        """Rebuild a live engine from a ``livetail/v2`` or ``livetail/v1``
+        checkpoint document, all of its state at the same instant (the
+        tailer cursors under ``"tailers"`` are the daemon's to restore).
+        Any other document is a ValueError naming its format."""
+        live = document.get(LIVETAIL_STATE_KEY)
+        found = document.get("format") if live is None else live.get("format")
+        if live is None or found not in (
+            LIVETAIL_STATE_FORMAT, LIVETAIL_V1_FORMAT
+        ):
+            raise ValueError(
+                f"unsupported live checkpoint format {found!r} (expected "
+                f"{LIVETAIL_STATE_FORMAT!r} or {LIVETAIL_V1_FORMAT!r})"
+            )
+        state = pickle.loads(_b64d(live["state_b64"]))
+        if found == LIVETAIL_V1_FORMAT:
+            state.update(_v1_streaming_state(document))
+        engine = cls(
+            bundle, rules=rules, max_fuid_map=state["max_fuid_map"],
+            fast_path=(
+                FastPath.OFF if state["certfacts"] is None else FastPath.AUTO
+            ),
+            min_interception_domains=min_interception_domains,
+            admission=state["admission"],
         )
-        engine.admission = admission or AdmissionController()
-        engine.partials = engine._new_partials()
-        engine.scan = engine.enricher.new_scan()
-        engine.ssl_report = IngestReport()
-        engine.x509_report = IngestReport()
-        extra = document.get(LIVETAIL_STATE_KEY)
-        if extra is not None:
-            engine.load_extra(extra)
+        engine.x509_by_fuid = state["x509_by_fuid"]
+        engine.connections_seen = state["connections_seen"]
+        engine.metrics.merge_state(state["metrics"])
+        if engine.enricher.fact_cache is not None:
+            engine.enricher.fact_cache.load_state(state["certfacts"])
+        engine.partials = state["partials"]
+        engine.scan = state["scan"]
+        # The scan's fact cache is process-local acceleration state,
+        # nulled on pickling; reattach the (restored) shared one.
+        engine.scan.fact_cache = engine.enricher.fact_cache
+        engine.ssl_report = state["ssl_report"]
+        engine.x509_report = state["x509_report"]
         engine._rebind_tables()
         return engine
+
+
+def _v1_streaming_state(document: dict) -> dict:
+    """The engine state a ``livetail/v1`` document kept beside its
+    ``livetail`` key, in a ``streaming-analyzer/v2`` snapshot: the fuid
+    map (x509 TSV text, in map order), fact cache, metrics and counters.
+    Its eviction count was never a metric and is not carried over."""
+    records = read_x509_log(io.StringIO(document["x509_records"]))
+    return {
+        "x509_by_fuid": {record.fuid: record for record in records},
+        "max_fuid_map": document["max_fuid_map"],
+        "connections_seen": document["connections_seen"],
+        "certfacts": document["certfacts"],
+        "metrics": document["metrics"],
+    }
 
 
 def _update_pairs(partials: dict, pairs: list) -> None:
@@ -833,13 +860,6 @@ class LiveTailDaemon:
                 f"refusing to serve: another daemon owns "
                 f"{self.checkpoint_path} ({exc})"
             ) from None
-        # A killed daemon's half-written checkpoint temps. The prefix
-        # confines the sweep to this checkpoint's own temp files — the
-        # live log directory may share this path, and its writers use
-        # .tmp siblings of their own.
-        sweep_orphans(
-            self.checkpoint_path.parent, prefix=self.checkpoint_path.name
-        )
         self.checkpoint_interval = checkpoint_interval
         self.poll_interval = poll_interval
         self.lock = threading.RLock()
@@ -847,41 +867,55 @@ class LiveTailDaemon:
         self.polls = 0
         self.checkpoints_written = 0
         self.resumed = False
-        document = None
-        if resume:
-            try:
-                document, used_prev = load_checkpoint_json(self.checkpoint_path)
-            except (OSError, ValueError):
-                document = None  # no usable checkpoint: fresh start
-                used_prev = False
-        if document is not None:
-            self.engine = LiveAnalysisEngine.from_checkpoint_doc(
-                bundle, document, rules=rules,
-                min_interception_domains=min_interception_domains,
-                admission=admission,
+        try:
+            # A killed daemon's half-written checkpoint temps. The prefix
+            # confines the sweep to this checkpoint's own temp files —
+            # the live log directory may share this path, and its
+            # writers use .tmp siblings of their own.
+            sweep_orphans(
+                self.checkpoint_path.parent, prefix=self.checkpoint_path.name
             )
-            if used_prev:
-                self.engine.metrics.inc("streaming.checkpoint_fallbacks")
-            self.resumed = True
-        else:
-            self.engine = LiveAnalysisEngine(
-                bundle, rules=rules, max_fuid_map=max_fuid_map,
-                fast_path=fast_path,
-                min_interception_domains=min_interception_domains,
-                admission=admission,
+            document = None
+            if resume:
+                try:
+                    document, used_prev = load_checkpoint_json(
+                        self.checkpoint_path
+                    )
+                except (OSError, ValueError):
+                    document = None  # no usable checkpoint: fresh start
+            if document is not None:
+                self.engine = LiveAnalysisEngine.from_checkpoint_doc(
+                    bundle, document, rules=rules,
+                    min_interception_domains=min_interception_domains,
+                )
+                if used_prev:
+                    self.engine.metrics.inc("streaming.checkpoint_fallbacks")
+                self.resumed = True
+            else:
+                self.engine = LiveAnalysisEngine(
+                    bundle, rules=rules, max_fuid_map=max_fuid_map,
+                    fast_path=fast_path,
+                    min_interception_domains=min_interception_domains,
+                    admission=admission,
+                )
+            self.ssl_tailer = LogTailer(
+                self.directory, "ssl", report=self.engine.ssl_report,
+                on_error=on_error, fast_path=fast_path,
             )
-        self.ssl_tailer = LogTailer(
-            self.directory, "ssl", report=self.engine.ssl_report,
-            on_error=on_error, fast_path=fast_path,
-        )
-        self.x509_tailer = LogTailer(
-            self.directory, "x509", report=self.engine.x509_report,
-            on_error=on_error, fast_path=fast_path,
-        )
-        if document is not None:
-            tailers = document[LIVETAIL_STATE_KEY]["tailers"]
-            self.ssl_tailer.load_state(tailers["ssl"])
-            self.x509_tailer.load_state(tailers["x509"])
+            self.x509_tailer = LogTailer(
+                self.directory, "x509", report=self.engine.x509_report,
+                on_error=on_error, fast_path=fast_path,
+            )
+            if document is not None:
+                tailers = document[LIVETAIL_STATE_KEY]["tailers"]
+                self.ssl_tailer.load_state(tailers["ssl"])
+                self.x509_tailer.load_state(tailers["x509"])
+        except BaseException:
+            # The lock is a raw fd that nothing else closes: kept, it
+            # would turn away every later daemon on this checkpoint,
+            # even one started in this process after the error.
+            self._checkpoint_lock.release()
+            raise
         self.started = time.monotonic()
         self._last_checkpoint = time.monotonic()
 
@@ -950,7 +984,7 @@ class LiveTailDaemon:
                     "ssl": self.engine.ssl_report.rows_ok,
                     "x509": self.engine.x509_report.rows_ok,
                 },
-                "connections_seen": self.engine.analyzer.connections_seen,
+                "connections_seen": self.engine.connections_seen,
                 "rotations": {
                     "ssl": self.ssl_tailer.rotations_seen,
                     "x509": self.x509_tailer.rotations_seen,

@@ -258,6 +258,13 @@ class MetricsRegistry:
         self.inc(f"{prefix}.misses", stats.misses)
         self.inc(f"{prefix}.evictions", stats.evictions)
 
+    def mirror_cache(self, stats, prefix: str) -> None:
+        """:meth:`observe_cache` for stats that keep accumulating in one
+        registry: overwrites, so repeated mirrors never double-count."""
+        self.counters[f"{prefix}.hits"] = stats.hits
+        self.counters[f"{prefix}.misses"] = stats.misses
+        self.counters[f"{prefix}.evictions"] = stats.evictions
+
     # Merge ---------------------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":

@@ -337,5 +337,5 @@ register(Analysis(
     name="interception",
     title="§3.2: TLS interception filter",
     factory=InterceptionSummaryPartial,
-    legacy="repro.core.enrich.Enricher._interception_report",
+    legacy="repro.core.enrich.Enricher.interception_report",
 ))

@@ -23,12 +23,12 @@ streams; evictions and dangling fuid references are both counted.
 
 from __future__ import annotations
 
-import io
-import json
 from pathlib import Path
 from typing import Iterable
 
 from repro.core import metrics, tracing
+from repro.core.dataset import remember_fuid
+from repro.core.durable import durable_write_json, load_checkpoint_json
 from repro.core.enrich import new_fact_cache
 from repro.core.prevalence import (
     CertStatsRow,
@@ -38,52 +38,12 @@ from repro.core.prevalence import (
 )
 from repro.core.tuples import Tls13Blindspot, Tls13State
 from repro.trust import TrustBundle
-from repro.zeek import (
-    FastPath,
-    SslRecord,
-    X509Record,
-    read_x509_log,
-    x509_log_to_string,
-)
+from repro.zeek import FastPath, SslRecord, X509Record
 from repro.zeek.files import month_key
 from repro.zeek.ingest import IngestOptions
 
 #: Snapshot schema tag; bump on incompatible layout changes.
 SNAPSHOT_FORMAT = "streaming-analyzer/v2"
-
-
-def atomic_write_json(path: Path | str, payload: dict) -> Path:
-    """Write ``payload`` as JSON, durably and atomically.
-
-    Delegates to :func:`repro.core.durable.durable_write_json` (temp
-    file + fsync + atomic rename + directory fsync); an existing file
-    is retained as ``<path>.prev`` first. A crash at any point leaves
-    either the new document or the previous good one loadable — never a
-    torn or empty rename target — and the chaos suite drives every
-    crash point of the sequence through the fault-injection shim.
-    """
-    from repro.core.durable import durable_write_json
-
-    return durable_write_json(path, payload, keep_prev=True)
-
-
-def load_checkpoint_json(path: Path | str) -> tuple[dict, bool]:
-    """Load a checkpoint document with last-good fallback.
-
-    Returns ``(document, used_prev)``: if the primary file is missing,
-    corrupt, or truncated, the retained ``<path>.prev`` copy is tried;
-    only when neither yields valid JSON does the primary's error
-    propagate.
-    """
-    path = Path(path)
-    try:
-        return json.loads(path.read_text(encoding="utf-8")), False
-    except (OSError, ValueError, UnicodeDecodeError) as primary_error:
-        prev = path.with_suffix(path.suffix + ".prev")
-        try:
-            return json.loads(prev.read_text(encoding="utf-8")), True
-        except (OSError, ValueError, UnicodeDecodeError):
-            raise primary_error from None
 
 
 class StreamingAnalyzer:
@@ -110,7 +70,6 @@ class StreamingAnalyzer:
         *,
         options: IngestOptions | None = None,
         max_fuid_map: int | None = None,
-        keep_records: bool = False,
     ) -> None:
         opts = IngestOptions.coerce(options)
         if max_fuid_map is not None and max_fuid_map <= 0:
@@ -119,12 +78,6 @@ class StreamingAnalyzer:
         self.options = opts
         self.max_fuid_map = max_fuid_map
         self.fast_path = opts.fast_path
-        #: When set, the full x509 record (not just the fingerprint) is
-        #: retained per live fuid — same last-wins/eviction lifecycle as
-        #: the fuid map — so a caller can rebuild connection views
-        #: (`x509_for_fuid`). Used by the live-tail engine.
-        self.keep_records = keep_records
-        self._fuid_records: dict[str, X509Record] = {}
         self._fact_cache = (
             new_fact_cache(bundle) if self.fast_path.enabled else None
         )
@@ -147,13 +100,11 @@ class StreamingAnalyzer:
         fed = 0
         for record in records:
             fed += 1
-            if record.fuid in self._fuid_to_fp:
-                # Refresh recency so re-announced fuids survive eviction.
-                del self._fuid_to_fp[record.fuid]
-                self._fuid_records.pop(record.fuid, None)
-            self._fuid_to_fp[record.fuid] = record.fingerprint
-            if self.keep_records:
-                self._fuid_records[record.fuid] = record
+            if remember_fuid(
+                self._fuid_to_fp, record.fuid, record.fingerprint,
+                self.max_fuid_map,
+            ):
+                self.fuid_evictions += 1
             if self._fact_cache is not None:
                 public = self._fact_cache.get(
                     record.fingerprint, record
@@ -161,14 +112,6 @@ class StreamingAnalyzer:
             else:
                 public = self.bundle.is_public(record)
             self._usage.ensure(record.fingerprint, public)
-            if (
-                self.max_fuid_map is not None
-                and len(self._fuid_to_fp) > self.max_fuid_map
-            ):
-                oldest = next(iter(self._fuid_to_fp))
-                del self._fuid_to_fp[oldest]
-                self._fuid_records.pop(oldest, None)
-                self.fuid_evictions += 1
         self.metrics.inc("streaming.x509_records", fed)
 
     def add_ssl(self, records: Iterable[SslRecord]) -> None:
@@ -193,13 +136,6 @@ class StreamingAnalyzer:
         self.add_x509(x509)
         self.add_ssl(ssl)
 
-    def x509_for_fuid(self, fuid: str | None) -> X509Record | None:
-        """The retained x509 record for a live fuid (``keep_records``
-        mode only; returns None for unknown/evicted fuids)."""
-        if fuid is None:
-            return None
-        return self._fuid_records.get(fuid)
-
     def _observe_leaf(self, fuid: str | None, role: str, mutual: bool) -> None:
         if fuid is None:
             return
@@ -214,15 +150,10 @@ class StreamingAnalyzer:
     # Checkpointing -------------------------------------------------------------
 
     def _sync_cache_metrics(self) -> None:
-        """Mirror the fact cache's running stats into the metrics
-        registry. Absolute overwrite (not ``inc``): the stats object is
-        cumulative, so repeated syncs must not double-count."""
-        if self._fact_cache is None:
-            return
-        stats = self._fact_cache.stats
-        self.metrics.counters["streaming.certfacts.hits"] = stats.hits
-        self.metrics.counters["streaming.certfacts.misses"] = stats.misses
-        self.metrics.counters["streaming.certfacts.evictions"] = stats.evictions
+        if self._fact_cache is not None:
+            self.metrics.mirror_cache(
+                self._fact_cache.stats, "streaming.certfacts"
+            )
 
     def to_snapshot(self) -> dict:
         """The complete running state as a JSON-serializable dict.
@@ -237,7 +168,7 @@ class StreamingAnalyzer:
         first post-resume occurrence of each certificate just recomputes.
         """
         self._sync_cache_metrics()
-        snapshot = {
+        return {
             "format": SNAPSHOT_FORMAT,
             "max_fuid_map": self.max_fuid_map,
             "fuid_to_fp": dict(self._fuid_to_fp),
@@ -256,14 +187,6 @@ class StreamingAnalyzer:
             "fuid_evictions": self.fuid_evictions,
             "metrics": self.metrics.state_dict(),
         }
-        if self.keep_records:
-            # Serialized as TSV text (the canonical, proven round-trip
-            # format) rather than a parallel JSON schema; insertion
-            # order — which mirrors the fuid map's — survives.
-            snapshot["x509_records"] = x509_log_to_string(
-                self._fuid_records.values()
-            )
-        return snapshot
 
     @classmethod
     def from_snapshot(cls, bundle: TrustBundle, snapshot: dict) -> "StreamingAnalyzer":
@@ -299,33 +222,19 @@ class StreamingAnalyzer:
         analyzer.dropped_unestablished = snapshot["dropped_unestablished"]
         analyzer.dropped_dangling_fuid = snapshot.get("dropped_dangling_fuid", 0)
         analyzer.fuid_evictions = snapshot.get("fuid_evictions", 0)
-        x509_text = snapshot.get("x509_records")
-        if x509_text is not None:
-            analyzer.keep_records = True
-            analyzer._fuid_records = {
-                record.fuid: record
-                for record in read_x509_log(io.StringIO(x509_text))
-            }
         # Older snapshots carry no metrics; merge_state tolerates None.
         analyzer.metrics.merge_state(snapshot.get("metrics"))
         return analyzer
 
-    def write_checkpoint(
-        self, path: Path | str, *, extra: dict | None = None
-    ) -> Path:
-        """Persist the snapshot as durable JSON (see `atomic_write_json`:
-        fsync before rename, last-good ``.prev`` retained, temp file
-        cleaned up on failure). ``extra`` merges additional top-level
-        keys into the document — e.g. the live-tail daemon's cursor
-        state — which `from_snapshot` ignores.
+    def write_checkpoint(self, path: Path | str) -> Path:
+        """Persist the snapshot as durable JSON (see
+        :func:`~repro.core.durable.durable_write`: fsync before rename,
+        last-good ``.prev`` retained, temp file cleaned up on failure).
         """
         path = Path(path)
         self.metrics.inc("streaming.checkpoint_writes")
         with metrics.scoped(self.metrics), tracing.span("streaming.checkpoint"):
-            document = self.to_snapshot()
-            if extra:
-                document.update(extra)
-            atomic_write_json(path, document)
+            durable_write_json(path, self.to_snapshot(), keep_prev=True)
         return path
 
     @classmethod

@@ -14,9 +14,13 @@ import errno
 
 import pytest
 
-from repro.core.durable import TMP_SUFFIX, durable_write
+from repro.core.durable import (
+    TMP_SUFFIX,
+    durable_write,
+    durable_write_json,
+    load_checkpoint_json,
+)
 from repro.core.parallel import CampaignManifest
-from repro.core.streaming import atomic_write_json, load_checkpoint_json
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.netsim.faults import FaultyIO, IoFault, SimulatedCrash
 from repro.store import ColumnTable, MANIFEST_NAME, ensure_store, fsck, pack_archive
@@ -85,10 +89,10 @@ class TestDurableSequence:
     )
     def test_crash_with_keep_prev_never_loses_both(self, tmp_path, fault):
         target = tmp_path / "ckpt.json"
-        atomic_write_json(target, {"v": 1})
+        durable_write_json(target, {"v": 1}, keep_prev=True)
         with FaultyIO(fault).install():
             with pytest.raises(SimulatedCrash):
-                atomic_write_json(target, {"v": 2})
+                durable_write_json(target, {"v": 2}, keep_prev=True)
         # The loader must always find a complete document: the new one,
         # the old one still in place, or the old one retained as .prev.
         document, _ = load_checkpoint_json(target)

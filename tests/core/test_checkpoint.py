@@ -6,6 +6,7 @@ uninterrupted run — including eviction and dangling-fuid bookkeeping.
 """
 
 import dataclasses
+import errno
 import json
 
 import pytest
@@ -142,6 +143,19 @@ class TestCheckpointFile:
         assert _state(final) == _state(analyzer)
 
 
+    def test_live_only_modes_are_gone(self, simulation, tmp_path):
+        """The x509 record map and the checkpoint rider are the live
+        engine's (tests/core/test_livetail.py::TestFuidMap), not the
+        analyzer's."""
+        with pytest.raises(TypeError):
+            StreamingAnalyzer(simulation.trust_bundle, keep_records=True)
+        analyzer = _run(simulation, _months(simulation)[:1])
+        with pytest.raises(TypeError):
+            analyzer.write_checkpoint(tmp_path / "ckpt.json", extra={})
+        assert not hasattr(analyzer, "x509_for_fuid")
+        assert "x509_records" not in analyzer.to_snapshot()
+
+
 class TestBoundedFuidMap:
     def test_rejects_nonpositive_bound(self, simulation):
         with pytest.raises(ValueError, match="max_fuid_map"):
@@ -206,14 +220,20 @@ class TestDurableCheckpoint:
     """Crash-safe checkpoint files: fsync'd atomic writes, no stray tmp
     files, and a retained last-good fallback for torn primary writes."""
 
-    def test_tmp_file_removed_on_write_failure(self, simulation, tmp_path):
+    def test_tmp_file_removed_on_write_failure(
+        self, simulation, tmp_path, monkeypatch
+    ):
         analyzer = _run(simulation, _months(simulation)[:1])
         path = tmp_path / "ckpt.json"
-        with pytest.raises(TypeError):
-            # A non-serializable rider poisons json.dump mid-write.
-            analyzer.write_checkpoint(path, extra={"bad": object()})
-        assert not path.with_suffix(".json.tmp").exists()
-        assert not path.exists()
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        # Fails after the temp file is written, before it is published.
+        monkeypatch.setattr("repro.core.durable.os.fsync", failing_fsync)
+        with pytest.raises(OSError, match="injected fsync failure"):
+            analyzer.write_checkpoint(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_write_fsyncs_before_rename(self, simulation, tmp_path, monkeypatch):
         # Checkpoint writes route through the shared durable-write
@@ -279,49 +299,3 @@ class TestDurableCheckpoint:
             simulation.trust_bundle, path
         )
         assert "streaming.checkpoint_fallbacks" not in restored.metrics.counters
-
-
-class TestKeepRecords:
-    """`keep_records=True` retains the joinable x509 record per live
-    fuid, with the same lifecycle as the fingerprint map — and the
-    retained records survive a checkpoint round trip."""
-
-    def test_lookup_follows_fuid_map(self, simulation):
-        analyzer = StreamingAnalyzer(
-            simulation.trust_bundle, keep_records=True
-        )
-        record = simulation.logs.x509[0]
-        analyzer.add_x509([record])
-        assert analyzer.x509_for_fuid(record.fuid) == record
-        assert analyzer.x509_for_fuid("nope") is None
-        assert analyzer.x509_for_fuid(None) is None
-
-    def test_eviction_drops_record(self, simulation):
-        x509 = [
-            dataclasses.replace(r, fuid=f"F{i}")
-            for i, r in enumerate(simulation.logs.x509[:3])
-        ]
-        analyzer = StreamingAnalyzer(
-            simulation.trust_bundle, max_fuid_map=2, keep_records=True
-        )
-        analyzer.add_x509(x509)
-        assert analyzer.x509_for_fuid("F0") is None  # evicted
-        assert analyzer.x509_for_fuid("F2") is not None
-
-    def test_snapshot_round_trip_keeps_records(self, simulation):
-        analyzer = StreamingAnalyzer(
-            simulation.trust_bundle, keep_records=True
-        )
-        analyzer.add_x509(simulation.logs.x509[:5])
-        snapshot = json.loads(json.dumps(analyzer.to_snapshot()))
-        restored = StreamingAnalyzer.from_snapshot(
-            simulation.trust_bundle, snapshot
-        )
-        assert restored.keep_records
-        for record in simulation.logs.x509[:5]:
-            assert restored.x509_for_fuid(record.fuid) == record
-
-    def test_default_mode_snapshot_has_no_records(self, simulation):
-        analyzer = StreamingAnalyzer(simulation.trust_bundle)
-        analyzer.add_x509(simulation.logs.x509[:5])
-        assert "x509_records" not in analyzer.to_snapshot()

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import load_trust_bundle, main
+from repro.core.dataset import MtlsDataset
+from repro.core.enrich import Enricher
+from repro.zeek import read_ssl_log, read_x509_log
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,61 @@ class TestIntercept:
         assert code == 0
         out = capsys.readouterr().out
         assert "issuers flagged" in out
+
+    @pytest.mark.parametrize("min_domains", [1, 2])
+    def test_intercept_matches_whole_dataset_enrich(
+        self, generated_dir, capsys, min_domains
+    ):
+        """The printed report is the one a full `Enricher.enrich` of the
+        logs yields, under the same CT ledger rebuilt from the logs'
+        public-CA observations. The command itself labels nothing."""
+
+        def no_labelling(self, dataset):
+            raise AssertionError("repro intercept must not label connections")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Enricher, "enrich", no_labelling)
+            code = main([
+                "intercept",
+                str(generated_dir / "ssl.log"),
+                str(generated_dir / "x509.log"),
+                "--trust-bundle", str(generated_dir / "trust_bundle.txt"),
+                "--min-domains", str(min_domains),
+            ])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+
+        with (generated_dir / "ssl.log").open() as source:
+            ssl = read_ssl_log(source)
+        with (generated_dir / "x509.log").open() as source:
+            x509 = read_x509_log(source)
+        bundle = load_trust_bundle(generated_dir / "trust_bundle.txt")
+        by_fuid = {r.fuid: r for r in x509}
+        ledger: dict[str, list[str]] = {}
+        for record in ssl:
+            leaf = by_fuid.get(record.server_leaf_fuid or "")
+            if leaf is not None and record.server_name and bundle.is_public(leaf):
+                issuers = ledger.setdefault(record.server_name.lower(), [])
+                if leaf.issuer not in issuers:
+                    issuers.append(leaf.issuer)
+
+        class Ledger:
+            def knows_domain(self, domain):
+                return domain.lower() in ledger
+
+            def issuers_for(self, domain):
+                return ledger.get(domain.lower(), [])
+
+        report = Enricher(
+            bundle, ct_log=Ledger(), min_interception_domains=min_domains
+        ).enrich(MtlsDataset(ssl, x509)).interception
+        assert report.flagged_issuers  # the pin has something to pin
+        assert printed == [
+            *(f"flagged: {issuer}" for issuer in sorted(report.flagged_issuers)),
+            f"{len(report.flagged_issuers)} issuers flagged, "
+            f"{len(report.excluded_fingerprints)} certificates "
+            f"({100 * report.excluded_fraction:.2f}%) excluded",
+        ]
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

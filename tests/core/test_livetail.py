@@ -5,12 +5,17 @@ reads produces byte-identical tables to a batch ``analyze`` of the
 finished archive (sampling disabled).
 """
 
+import dataclasses
+import gzip
+import hashlib
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.core.dataset import MtlsDataset
+from repro.core.durable import load_checkpoint_json
 from repro.core.livetail import (
     AdmissionController,
     LiveAnalysisEngine,
@@ -18,10 +23,12 @@ from repro.core.livetail import (
     LogTailer,
 )
 from repro.core.parallel import analyze_directory
-from repro.core.streaming import StreamingAnalyzer, load_checkpoint_json
+from repro.core.streaming import StreamingAnalyzer
 from repro.netsim import LiveLogWriter, ScenarioConfig, TrafficGenerator
-from repro.zeek import IngestOptions
+from repro.zeek import IngestOptions, ssl_log_to_string, x509_log_to_string
 from tests.core import profile_state
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +96,10 @@ class _Harness:
         self.engine.feed(ssl_records, x509_records)
         return len(ssl_records) + len(x509_records)
 
+    def close(self):
+        self.ssl.close()
+        self.x509.close()
+
 
 class TestLogTailer:
     def test_append_rotate_exactly_once(self, simulation, tmp_path):
@@ -117,20 +128,23 @@ class TestLogTailer:
         assert tailer.poll() == []
 
     def test_partial_write_is_buffered(self, simulation, tmp_path):
-        writer = LiveLogWriter(simulation.logs, tmp_path)
-        # Advance until the next event is an ssl row, then cut it.
-        while writer._events[writer._cursor][0] != "ssl":
-            writer.write_next(1)
-        writer.write_next(20)
-        while writer._events[writer._cursor][0] != "ssl":
-            writer.write_next(1)
-        tailer = LogTailer(tmp_path, "ssl")
-        baseline = len(tailer.poll())
-        writer.partial_write()
-        assert tailer.poll() == []  # the cut row waits for its newline
-        assert tailer.report.rows_dropped == 0
-        writer.write_next(1)  # completes the cut row, writes one more
-        resumed = tailer.poll()
+        with LiveLogWriter(simulation.logs, tmp_path) as writer:
+            # Advance until the next event is an ssl row, then cut it.
+            while writer._events[writer._cursor][0] != "ssl":
+                writer.write_next(1)
+            writer.write_next(20)
+            while writer._events[writer._cursor][0] != "ssl":
+                writer.write_next(1)
+            tailer = LogTailer(tmp_path, "ssl")
+            try:
+                baseline = len(tailer.poll())
+                writer.partial_write()
+                assert tailer.poll() == []  # the cut row waits for its newline
+                assert tailer.report.rows_dropped == 0
+                writer.write_next(1)  # completes the cut row, writes one more
+                resumed = tailer.poll()
+            finally:
+                tailer.close()
         assert len(resumed) >= 1
         assert baseline + len(resumed) == tailer.report.rows_ok
 
@@ -252,8 +266,7 @@ class TestCheckpointRestore:
         # those.
         writer.write_next(40)
         harness.poll()
-        harness.ssl.close()
-        harness.x509.close()
+        harness.close()
         del harness
 
         document, used_prev = load_checkpoint_json(ckpt)
@@ -281,9 +294,158 @@ class TestCheckpointRestore:
         assert _merged_ingest_key(resumed.engine) == _ingest_key(batch_ingest)
 
     def test_bad_state_format_rejected(self, simulation):
+        with pytest.raises(ValueError, match="format 'livetail/v0'"):
+            LiveAnalysisEngine.from_checkpoint_doc(
+                simulation.trust_bundle,
+                {"livetail": {"format": "livetail/v0", "state_b64": ""}},
+            )
+
+    def test_checkpoint_is_v2_and_engine_only(self, simulation, tmp_path):
         engine = LiveAnalysisEngine(simulation.trust_bundle)
-        with pytest.raises(ValueError, match="livetail state format"):
-            engine.load_extra({"format": "livetail/v0", "state_b64": ""})
+        assert not hasattr(engine, "analyzer")
+        engine.feed(simulation.logs.ssl, simulation.logs.x509)
+        path = engine.checkpoint(tmp_path / "ckpt.json", {})
+        document, _ = load_checkpoint_json(path)
+        assert list(document) == ["livetail"]
+        assert document["livetail"]["format"] == "livetail/v2"
+        restored = LiveAnalysisEngine.from_checkpoint_doc(
+            simulation.trust_bundle, document
+        )
+        assert _live_tables(restored) == _live_tables(engine)
+        assert restored.connections_seen == engine.connections_seen
+        assert list(restored.x509_by_fuid) == list(engine.x509_by_fuid)
+        assert restored.metrics.counters == engine.metrics.counters
+        assert restored.metrics.counters["streaming.checkpoint_writes"] == 1
+
+
+class TestFuidMap:
+    """The engine's fuid → x509 record map: connections join through
+    it, the bound evicts the oldest entry, and a checkpoint keeps the
+    records in map order."""
+
+    def test_lookup_follows_fuid_map(self, simulation):
+        engine = LiveAnalysisEngine(simulation.trust_bundle)
+        record = simulation.logs.x509[0]
+        engine.feed([], [record])
+        assert engine.x509_by_fuid.get(record.fuid) == record
+        assert engine.x509_by_fuid.get("nope") is None
+        assert engine.x509_by_fuid.get(None) is None
+        assert engine.metrics.counters["streaming.x509_records"] == 1
+
+    def test_eviction_drops_record(self, simulation):
+        x509 = [
+            dataclasses.replace(r, fuid=f"F{i}")
+            for i, r in enumerate(simulation.logs.x509[:3])
+        ]
+        engine = LiveAnalysisEngine(simulation.trust_bundle, max_fuid_map=2)
+        engine.feed([], x509)
+        assert "F0" not in engine.x509_by_fuid  # evicted
+        assert engine.x509_by_fuid["F2"] == x509[2]
+        assert engine.metrics.counters["livetail.fuid_evictions"] == 1
+        with pytest.raises(ValueError, match="max_fuid_map"):
+            LiveAnalysisEngine(simulation.trust_bundle, max_fuid_map=0)
+
+    def test_checkpoint_round_trip_keeps_records(self, simulation, tmp_path):
+        engine = LiveAnalysisEngine(simulation.trust_bundle, max_fuid_map=4)
+        engine.feed([], simulation.logs.x509[:5])
+        engine.feed([], simulation.logs.x509[1:2])  # re-announced: newest
+        path = engine.checkpoint(tmp_path / "ckpt.json", {})
+        document, _ = load_checkpoint_json(path)
+        restored = LiveAnalysisEngine.from_checkpoint_doc(
+            simulation.trust_bundle, document
+        )
+        assert restored.max_fuid_map == 4
+        assert list(restored.x509_by_fuid.items()) == list(
+            engine.x509_by_fuid.items()
+        )
+        assert list(restored.x509_by_fuid)[-1] == simulation.logs.x509[1].fuid
+
+
+def _split_capture(logs, head):
+    """``(first, rest)`` feeds of a capture: the first ``head`` ssl rows
+    by time with every x509 row up to the last of them (or referenced
+    by them), then everything else."""
+    ssl = sorted(logs.ssl, key=lambda r: r.ts)
+    x509 = sorted(logs.x509, key=lambda r: r.ts)
+    first = ssl[:head]
+    cut = first[-1].ts
+    needed = {
+        fuid
+        for r in first
+        for fuid in (*r.cert_chain_fuids, *r.client_cert_chain_fuids)
+    }
+    early = [r.ts <= cut or r.fuid in needed for r in x509]
+    return (
+        (first, [r for r, e in zip(x509, early) if e]),
+        (ssl[head:], [r for r, e in zip(x509, early) if not e]),
+    )
+
+
+@pytest.fixture(scope="module")
+def v1_checkpoint():
+    """A ``livetail/v1`` checkpoint and the state of the engine that
+    wrote it, both committed under ``tests/core/data``.
+
+    The writer was the v1 engine (the code as of commit f79a944):
+    ``LiveAnalysisEngine(bundle)`` fed ``_split_capture(logs, 40)``'s
+    first part in one ``feed`` call, then ``checkpoint(path, tailers)``
+    with the cursors of two tailers over an empty directory. The
+    expected document records that engine's rendered tables,
+    ``connections_seen``, fuid-map order and counters, and a sha256 of
+    the capture so a simulator change shows up as such.
+    """
+    document = json.loads(
+        gzip.decompress((DATA / "livetail-v1.json.gz").read_bytes())
+    )
+    expected = json.loads(
+        (DATA / "livetail-v1.expected.json").read_text(encoding="utf-8")
+    )
+    capture = expected["capture"]
+    simulation = TrafficGenerator(
+        ScenarioConfig(
+            months=capture["months"],
+            connections_per_month=capture["connections_per_month"],
+            seed=capture["seed"],
+        )
+    ).generate()
+    digest = hashlib.sha256()
+    digest.update(ssl_log_to_string(simulation.logs.ssl).encode("utf-8"))
+    digest.update(x509_log_to_string(simulation.logs.x509).encode("utf-8"))
+    assert digest.hexdigest() == capture["sha256"], (
+        "the simulator no longer generates the capture this fixture was "
+        "written from"
+    )
+    return document, expected, simulation
+
+
+class TestV1Checkpoint:
+    def test_restores_writer_state(self, v1_checkpoint):
+        document, expected, simulation = v1_checkpoint
+        assert document["livetail"]["format"] == "livetail/v1"
+        engine = LiveAnalysisEngine.from_checkpoint_doc(
+            simulation.trust_bundle, document
+        )
+        assert _live_tables(engine) == expected["tables"]
+        assert engine.connections_seen == expected["connections_seen"]
+        assert list(engine.x509_by_fuid) == expected["fuid_order"]
+        assert engine.metrics.counters == expected["counters"]
+
+    def test_resumed_feed_matches_batch(self, v1_checkpoint, tmp_path):
+        document, expected, simulation = v1_checkpoint
+        engine = LiveAnalysisEngine.from_checkpoint_doc(
+            simulation.trust_bundle, document
+        )
+        _, (ssl, x509) = _split_capture(
+            simulation.logs, expected["capture"]["head_ssl_rows"]
+        )
+        engine.feed(ssl, x509)
+        assert engine.connections_seen == sum(
+            1 for r in simulation.logs.ssl if r.established
+        )
+        with LiveLogWriter(simulation.logs, tmp_path) as writer:
+            writer.finalize()
+        batch_tables, _ = _batch_tables(tmp_path, simulation.trust_bundle)
+        assert _live_tables(engine) == batch_tables
 
 
 class TestAdmissionController:
@@ -372,17 +534,20 @@ class TestOverloadSampling:
             assert gauges[f"livetail.sampled.{name}.correction"] > 1.0
 
     def test_window_exit_folds_reservoir(self, simulation, tmp_path):
-        writer = LiveLogWriter(simulation.logs, tmp_path)
         admission = AdmissionController(
             high_watermark=20, low_watermark=5, reservoir_size=16
         )
         harness = _Harness(
             tmp_path, simulation.trust_bundle, admission=admission
         )
-        writer.write_next(400)
-        harness.poll()
-        assert admission.sampling
-        harness.poll()  # an empty batch (0 rows <= low) exits the window
+        with LiveLogWriter(simulation.logs, tmp_path) as writer:
+            writer.write_next(400)
+        try:
+            harness.poll()
+            assert admission.sampling
+            harness.poll()  # an empty batch (0 rows <= low) exits the window
+        finally:
+            harness.close()
         assert not admission.sampling
         assert harness.engine.metrics.counters["livetail.admission.folded"] > 0
         # Identity-level tables kept exact rows throughout.
@@ -454,10 +619,45 @@ class TestDaemonLoop:
         assert health["rows"]["x509"] == len(simulation.logs.x509)
         assert health["checkpoints_written"] >= 1
         # The final checkpoint loads and carries the full run.
-        restored = StreamingAnalyzer.from_checkpoint(
-            simulation.trust_bundle, ckpt
+        document, used_prev = load_checkpoint_json(ckpt)
+        assert not used_prev
+        restored = LiveAnalysisEngine.from_checkpoint_doc(
+            simulation.trust_bundle, document
         )
-        assert restored.connections_seen == daemon.engine.analyzer.connections_seen
+        assert restored.connections_seen == daemon.engine.connections_seen
+        assert restored.connections_seen == sum(
+            1 for r in simulation.logs.ssl if r.established
+        )
+        assert _live_tables(restored) == _live_tables(daemon.engine)
+
+    @pytest.mark.parametrize(
+        "kind", ["no-live-state", "unknown-livetail-format"]
+    )
+    def test_foreign_checkpoint_refused_and_released(
+        self, simulation, tmp_path, kind
+    ):
+        ckpt = tmp_path / "ckpt.json"
+        if kind == "no-live-state":
+            analyzer = StreamingAnalyzer(simulation.trust_bundle)
+            analyzer.add_month(simulation.logs.ssl, simulation.logs.x509)
+            analyzer.write_checkpoint(ckpt)
+            found = "streaming-analyzer/v2"
+        else:
+            ckpt.write_text(json.dumps({"livetail": {
+                "format": "livetail/v9", "tailers": {}, "state_b64": "",
+            }}))
+            found = "livetail/v9"
+        with pytest.raises(ValueError, match=f"format '{found}'"):
+            LiveTailDaemon(
+                tmp_path, simulation.trust_bundle,
+                checkpoint_path=ckpt, resume=True,
+            )
+        # The refusal released the checkpoint: a new daemon starts.
+        daemon = LiveTailDaemon(
+            tmp_path, simulation.trust_bundle, checkpoint_path=ckpt
+        )
+        daemon.close()
+        assert not daemon.resumed
 
     def test_resume_flag_with_no_checkpoint_starts_fresh(
         self, simulation, tmp_path
@@ -466,5 +666,8 @@ class TestDaemonLoop:
             tmp_path, simulation.trust_bundle,
             checkpoint_path=tmp_path / "none.json", resume=True,
         )
-        assert not daemon.resumed
-        assert daemon.poll_once() == 0
+        try:
+            assert not daemon.resumed
+            assert daemon.poll_once() == 0
+        finally:
+            daemon.close()

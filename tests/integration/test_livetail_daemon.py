@@ -214,14 +214,19 @@ class TestChaosEquivalence:
             assert got == expected, f"table {name} diverged from batch"
 
         # The final (SIGTERM-path) checkpoint is loadable and complete.
-        from repro.core.streaming import StreamingAnalyzer
+        from repro.core.durable import load_checkpoint_json
+        from repro.core.livetail import LiveAnalysisEngine
 
-        restored = StreamingAnalyzer.from_checkpoint(
-            load_trust_bundle(bundle_file), ckpt
+        document, used_prev = load_checkpoint_json(ckpt)
+        assert not used_prev
+        restored = LiveAnalysisEngine.from_checkpoint_doc(
+            load_trust_bundle(bundle_file), document
         )
         assert restored.connections_seen == sum(
             1 for r in simulation.logs.ssl if r.established
         )
+        for name, entry in restored.tables().items():
+            assert entry["table"].render() == campaign.table(name).render()
 
 
 class TestOverloadFlagging:

@@ -4,6 +4,7 @@ fingerprint invalidation, policy mismatch rejection, worker pickling."""
 import gzip
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -116,20 +117,18 @@ class TestRejection:
 
     def test_format_mismatch(self, store):
         store_dir = store.directory
-        path = f"{store_dir}/{MANIFEST_NAME}"
-        manifest = json.loads(open(path, encoding="utf-8").read())
+        path = Path(store_dir) / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
         manifest["format"] = "columnar-store/v0"
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump(manifest, out)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(StoreFormatError, match="store format"):
             ColumnarStoreSource(store_dir)
 
     def test_codec_mismatch(self, store):
-        path = f"{store.directory}/{MANIFEST_NAME}"
-        manifest = json.loads(open(path, encoding="utf-8").read())
+        path = Path(store.directory) / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
         manifest["codec"] = 999
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump(manifest, out)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(StoreFormatError, match="codec"):
             ColumnarStoreSource(store.directory)
 
