@@ -702,9 +702,15 @@ class LiveAnalysisEngine:
             }
         return out
 
-    def publish_sampling_metrics(self) -> None:
-        """Mirror per-table sampling status into the metrics registry
-        (gauges: the stats are cumulative absolutes, not deltas)."""
+    def publish_metrics(self) -> None:
+        """Bring the registry's derived values up to now: the fact
+        cache's cumulative stats as ``streaming.certfacts.*`` and the
+        per-table sampling status as ``livetail.sampled.*`` gauges (both
+        are absolutes, not deltas). ``GET /metrics`` and
+        :meth:`checkpoint` call it."""
+        cache = self.enricher.fact_cache
+        if cache is not None:
+            self.metrics.mirror_cache(cache.stats, "streaming.certfacts")
         for name in sorted(self.admission.sampled_tables):
             stats = self.admission.table_stats(name, include_open_window=True)
             if stats is None:
@@ -720,12 +726,10 @@ class LiveAnalysisEngine:
         """Write the engine's state and the daemon's tailer cursors as
         one durable ``livetail/v2`` document (fsync before rename, the
         last good copy kept as ``<path>.prev``)."""
-        self.publish_sampling_metrics()
+        self.publish_metrics()
         self.metrics.inc("streaming.checkpoint_writes")
         cache = self.enricher.fact_cache
         with metrics.scoped(self.metrics), tracing.span("streaming.checkpoint"):
-            if cache is not None:
-                self.metrics.mirror_cache(cache.stats, "streaming.certfacts")
             blob = pickle.dumps({
                 "x509_by_fuid": self.x509_by_fuid,
                 "max_fuid_map": self.max_fuid_map,

@@ -41,16 +41,24 @@ update/merge/finalize protocol makes the spilled partials trivially
 re-mergeable, so a resumed campaign is byte-identical to an
 uninterrupted one.
 
-Workers cache the parsed shard between phases, so each ssl file is read
-at most twice (again when phase B lands on a different worker than
-phase A). The x509 stream is broadcast to every shard, because fuid
-references may cross a month boundary, but each process decodes it once:
-its :class:`~repro.zeek.files.TsvDirectorySource` serves every month
-from that one decode.
+Workers cache the parsed shard between phases, and the supervisor
+sends each phase-B shard back to the worker that scanned it (shard
+affinity). A worker whose own shards are done steals another's *last*
+pending one and reads that ssl file a second time; so does whichever
+worker takes a shard whose phase-A worker was recycled or that was
+resumed from a manifest. The x509 stream is broadcast to every shard,
+because fuid references may cross a month boundary, but each process
+decodes it once: its :class:`~repro.zeek.files.TsvDirectorySource`
+serves every month from that one decode.
+
+The whole campaign, both phases and the merge, runs inside one
+:func:`collector_scope`, in the parent and in every worker.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -89,6 +97,36 @@ from repro.zeek.ingest import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.faults import WorkerFaultPlan
     from repro.trust.store import TrustBundle
+
+
+#: The collector's generation-0 threshold during a campaign (CPython's
+#: default is 700).
+CAMPAIGN_GEN0_THRESHOLD = 50_000
+
+
+@contextlib.contextmanager
+def collector_scope():
+    """Raise the collector's generation-0 threshold to
+    :data:`CAMPAIGN_GEN0_THRESHOLD` and restore the previous thresholds
+    on exit, error included.
+
+    A campaign's decoded records, joined datasets and partials live
+    until the chronological merge, so at the default threshold most
+    young collections scan objects that survive them. The scope covers
+    the merge too: a scope that ended before it would only move the
+    deferred collections into the merge. Nesting is safe: an inner scope
+    never lowers a threshold, and restores what it found. A threshold of
+    0 (automatic collection off) stays 0.
+    """
+    previous = gc.get_threshold()
+    if previous[0]:
+        gc.set_threshold(
+            max(previous[0], CAMPAIGN_GEN0_THRESHOLD), *previous[1:]
+        )
+    try:
+        yield
+    finally:
+        gc.set_threshold(*previous)
 
 
 @dataclass(frozen=True)
@@ -417,6 +455,9 @@ def _analyze_shard(
     )
 
 
+# A forked worker inherits the parent's collector scope; a spawned one
+# starts at the interpreter's defaults, so it enters the scope itself.
+@collector_scope()
 def _supervised_worker(config: _ExecutorConfig, conn) -> None:
     """Worker loop: serve ``(kind, key, attempt, payload)`` requests.
 
@@ -693,13 +734,15 @@ class ShardExecutor:
             source = TsvDirectorySource(directory)
         return self.run_source(source, resume_dir=resume_dir)
 
+    @collector_scope()
     def run_source(
         self,
         source: RecordSource,
         *,
         resume_dir: Path | str | None = None,
     ) -> CampaignResult:
-        """Analyze every shard served by a :class:`RecordSource`."""
+        """Analyze every shard served by a :class:`RecordSource`: both
+        phases and the merge run inside one :func:`collector_scope`."""
         months = sorted(source.months())
         if not months:
             raise ValueError("no shards to analyze")

@@ -57,6 +57,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if path == "/metrics":
             with daemon.lock:
+                daemon.engine.publish_metrics()
                 self._send_json(daemon.engine.metrics.state_dict())
             return
         if path == "/ingest":

@@ -23,6 +23,14 @@ routine event:
   month, counts every retry, and reports the coverage fraction, so a
   degraded run can never masquerade as a complete one.
 
+Between phases the supervisor keeps **shard affinity**: it remembers
+which worker completed each key, and in the next phase an idle worker
+takes its own pending keys first, since it still holds what it built
+for them. Keys with no live home (resumed from a manifest, or completed
+by a worker since recycled) go to any idle worker. A worker with
+nothing of its own left steals the *last* eligible task of another,
+which costs one re-read of that shard.
+
 The supervisor runs the exact same shard functions inline when
 ``jobs <= 1`` — same retry/quarantine/health accounting, same fault
 injection hooks — which is what keeps the 0/1/N-worker byte-identical
@@ -291,6 +299,8 @@ class ShardSupervisor:
         )
         self._slots: list[_Slot] = []
         self._workers_spawned = 0
+        #: Key -> the live slot that completed it last (shard affinity).
+        self._homes: dict[str, _Slot] = {}
 
     # Public API ----------------------------------------------------------------
 
@@ -331,6 +341,7 @@ class ShardSupervisor:
         for slot in self._slots:
             self._destroy_slot(slot)
         self._slots = []
+        self._homes = {}
 
     # Shared failure bookkeeping ------------------------------------------------
 
@@ -445,14 +456,37 @@ class ShardSupervisor:
         Recycling on *every* failure (not just crashes) is deliberate:
         the worker caches parsed shards between phases, and a failure
         may have left that cache — or any module global — corrupted.
-        A retry must start from a process with no history.
+        A retry must start from a process with no history, so the keys
+        the old process completed lose their home.
         """
+        self._homes = {
+            key: home for key, home in self._homes.items() if home is not slot
+        }
         self._destroy_slot(slot)
         fresh = self._spawn_slot()
         slot.process = fresh.process
         slot.conn = fresh.conn
         slot.task = None
         slot.deadline = None
+
+    def _pick(self, slot: _Slot, pending: deque, now: float) -> int | None:
+        """Index of the pending task an idle ``slot`` runs next (None
+        while nothing is eligible): its own keys in queue order, then
+        keys with no live home, and only then the *last* eligible key
+        of another slot, the one its home would reach last."""
+        homeless = stolen = None
+        for index, task in enumerate(pending):
+            if task.eligible_at > now:
+                continue
+            home = self._homes.get(task.key)
+            if home is slot:
+                return index
+            if home is None:
+                if homeless is None:
+                    homeless = index
+            else:
+                stolen = index
+        return homeless if homeless is not None else stolen
 
     def _run_processes(self, kind: str, tasks: list[tuple[str, Any]]) -> dict:
         from multiprocessing.connection import wait as connection_wait
@@ -474,13 +508,7 @@ class ShardSupervisor:
             for slot in self._slots:
                 if slot.task is not None or not pending:
                     continue
-                index = next(
-                    (
-                        i for i, t in enumerate(pending)
-                        if t.eligible_at <= now
-                    ),
-                    None,
-                )
+                index = self._pick(slot, pending, now)
                 if index is None:
                     break
                 task = pending[index]
@@ -543,6 +571,7 @@ class ShardSupervisor:
                 slot.task = None
                 slot.deadline = None
                 if status == "ok":
+                    self._homes[task.key] = slot
                     self._record_success(kind, task.key, body, results)
                 else:
                     self._recycle_slot(slot)

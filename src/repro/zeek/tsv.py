@@ -115,6 +115,15 @@ def _escape_vector_element(value: str) -> str:
     return _escape(value).replace(_SET_SEP, "\\x2c")
 
 
+def _guard_marker(cell: str) -> str:
+    """A cell whose whole text is a marker would read back as unset or
+    empty, so its first character is escaped, as Zeek does: ``-``
+    becomes ``\\x2d`` and ``(empty)`` becomes ``\\x28empty)``."""
+    if cell == _UNSET or cell == _EMPTY:
+        return f"\\x{ord(cell[0]):02x}{cell[1:]}"
+    return cell
+
+
 def _format_time(ts: _dt.datetime) -> str:
     return f"{ts.timestamp():.6f}"
 
@@ -136,7 +145,7 @@ def _parse_int(text: str) -> int:
 def _format_vector(values: Sequence[str]) -> str:
     if not values:
         return _EMPTY
-    return _SET_SEP.join(_escape_vector_element(v) for v in values)
+    return _guard_marker(_SET_SEP.join(_escape_vector_element(v) for v in values))
 
 
 def _parse_vector(text: str) -> tuple[str, ...]:
@@ -146,7 +155,7 @@ def _parse_vector(text: str) -> tuple[str, ...]:
 
 
 def _format_optional(value: str | None) -> str:
-    return _UNSET if value is None else _escape(value) or _UNSET
+    return _UNSET if value is None else _guard_marker(_escape(value)) or _UNSET
 
 
 def _parse_optional(text: str) -> str | None:
@@ -160,7 +169,7 @@ def _format_nullable(value: str | None) -> str:
         return _UNSET
     if value == "":
         return _EMPTY
-    return _escape(value)
+    return _guard_marker(_escape(value))
 
 
 def _parse_nullable(text: str) -> str | None:

@@ -10,6 +10,7 @@ import gzip
 import hashlib
 import json
 import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core.livetail import (
     LogTailer,
 )
 from repro.core.parallel import analyze_directory
+from repro.core.server import LiveTailServer
 from repro.core.streaming import StreamingAnalyzer
 from repro.netsim import LiveLogWriter, ScenarioConfig, TrafficGenerator
 from repro.zeek import IngestOptions, ssl_log_to_string, x509_log_to_string
@@ -528,7 +530,7 @@ class TestOverloadSampling:
         assert counters["livetail.admission.windows"] == 1
         assert counters["livetail.admission.deferred"] > 0
 
-        harness.engine.publish_sampling_metrics()
+        harness.engine.publish_metrics()
         gauges = harness.engine.metrics.gauges
         for name in harness.engine._hot:
             assert gauges[f"livetail.sampled.{name}.correction"] > 1.0
@@ -629,6 +631,38 @@ class TestDaemonLoop:
             1 for r in simulation.logs.ssl if r.established
         )
         assert _live_tables(restored) == _live_tables(daemon.engine)
+
+    def test_metrics_current_before_first_checkpoint(
+        self, simulation, tmp_path
+    ):
+        with LiveLogWriter(simulation.logs, tmp_path / "logs") as writer:
+            writer.write_next(len(simulation.logs.ssl))
+        daemon = LiveTailDaemon(
+            tmp_path / "logs", simulation.trust_bundle,
+            checkpoint_path=tmp_path / "ckpt.json", checkpoint_interval=3600,
+            admission=AdmissionController(
+                high_watermark=20, low_watermark=0, reservoir_size=16
+            ),
+        )
+        server = LiveTailServer(daemon)
+        server.start()
+        try:
+            assert daemon.poll_once() > 0
+            url = f"http://{server.host}:{server.port}/metrics"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                served = json.loads(response.read())
+            stats = daemon.engine.enricher.fact_cache.stats
+            assert stats.hits > 0
+            assert daemon.checkpoints_written == 0
+        finally:
+            server.shutdown()
+            daemon.close()
+        counters, gauges = served["counters"], served["gauges"]
+        assert counters["streaming.certfacts.hits"] == stats.hits
+        assert counters["streaming.certfacts.misses"] == stats.misses
+        assert daemon.engine.admission.sampled_tables
+        for name in daemon.engine.admission.sampled_tables:
+            assert gauges[f"livetail.sampled.{name}.correction"] > 1.0
 
     @pytest.mark.parametrize(
         "kind", ["no-live-state", "unknown-livetail-format"]

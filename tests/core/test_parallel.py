@@ -1,15 +1,27 @@
 """Shard executor: byte-identical to sequential, 0/1/N-worker equal."""
 
+import dataclasses
+import gc
+import json
 import pickle
+import time
 
 import pytest
 
 from repro.core import protocol
 from repro.core.dataset import MtlsDataset
 from repro.core.enrich import Enricher
-from repro.core.parallel import CampaignResult, ShardExecutor, analyze_directory
+from repro.core.parallel import (
+    CAMPAIGN_GEN0_THRESHOLD,
+    CampaignResult,
+    ShardExecutor,
+    _supervised_worker,
+    analyze_directory,
+    collector_scope,
+)
 from repro.core.study import CampusStudy
-from repro.netsim import ScenarioConfig, TrafficGenerator
+from repro.core.supervisor import CampaignDegradedError, RetryPolicy
+from repro.netsim import ScenarioConfig, TrafficGenerator, WorkerFaultPlan
 from repro.zeek import IngestOptions
 from repro.zeek.files import TsvDirectorySource, discover_shards, write_rotated_logs
 from repro.zeek.tsv import read_x509_log
@@ -186,6 +198,157 @@ class TestExecutorEquivalence:
         assert [t.render() for t in clone.tables()] == [
             t.render() for t in campaign.tables()
         ]
+
+
+class _Pacing:
+    """A worker fault plan that injects no fault: it adds a sleep to
+    every shard task, ``unit`` for one month per phase (the first in the
+    scan, the second in the analyze phase) and twice that for the rest,
+    so where phase B runs does not hang on how the host schedules two
+    CPU-bound workers."""
+
+    def __init__(self, months, unit):
+        self.short = {"scan": months[0], "analyze": months[1]}
+        self.unit = unit
+
+    def apply(self, month, phase, attempt, *, inline=False):
+        time.sleep(self.unit if month == self.short[phase] else 2 * self.unit)
+
+
+class TestPhaseBAffinity:
+    def test_phase_b_rereads_at_most_jobs_minus_one(
+        self, archive, simulation, tmp_path
+    ):
+        jobs = 2
+        months = [month for month, _, _ in discover_shards(archive)]
+        trace = tmp_path / "trace.jsonl"
+        campaign = analyze_directory(
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
+            jobs=jobs, trace_path=trace, fault_plan=_Pacing(months, 0.05),
+        )
+        assert campaign.health.clean
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        # Counted as the benchmark counts `parallel.phaseb_rereads`:
+        # phase A reads every month once, any further read is phase B's.
+        reads = sum(
+            1 for event in events
+            if event["name"] in ("shard.read", "shard.stream")
+        )
+        assert reads - len(months) <= jobs - 1
+
+
+class _ThresholdProbe:
+    """A record source that notes the collector's gen-0 threshold each
+    time a shard is read."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen: list[int] = []
+
+    def months(self):
+        return self.inner.months()
+
+    def identity(self):
+        return self.inner.identity()
+
+    def read_month(self, month, options):
+        self.seen.append(gc.get_threshold()[0])
+        return self.inner.read_month(month, options)
+
+
+@pytest.fixture
+def default_thresholds():
+    """Run at the interpreter's default thresholds, whatever was set before."""
+    saved = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    try:
+        yield (700, 10, 10)
+    finally:
+        gc.set_threshold(*saved)
+
+
+class TestCollectorScope:
+    """The whole campaign runs at a raised gen-0 threshold, and the
+    process's thresholds are what they were once it ends."""
+
+    def test_shard_tasks_run_at_campaign_threshold(
+        self, archive, simulation, default_thresholds
+    ):
+        probe = _ThresholdProbe(TsvDirectorySource(archive))
+        ShardExecutor(simulation.trust_bundle, simulation.ct_log).run_source(probe)
+        assert probe.seen == [CAMPAIGN_GEN0_THRESHOLD] * _SCENARIO.months
+        assert gc.get_threshold() == default_thresholds
+
+    def test_worker_loop_enters_scope(
+        self, archive, simulation, default_thresholds
+    ):
+        # A spawned worker starts at the defaults rather than inheriting
+        # the parent's scope; the worker loop enters it itself.
+        probe = _ThresholdProbe(TsvDirectorySource(archive))
+        config = dataclasses.replace(
+            ShardExecutor(simulation.trust_bundle, simulation.ct_log).config,
+            source=probe,
+        )
+        month = probe.months()[0]
+
+        class Pipe:
+            def __init__(self):
+                self.inbox = [("scan", month, 1, month), None]
+                self.sent = []
+
+            def recv(self):
+                return self.inbox.pop(0)
+
+            def send(self, message):
+                self.sent.append(message)
+
+        pipe = Pipe()
+        _supervised_worker(config, pipe)
+        assert [status for _, status, _ in pipe.sent] == ["ok"]
+        assert probe.seen == [CAMPAIGN_GEN0_THRESHOLD]
+        assert gc.get_threshold() == default_thresholds
+
+    def test_previous_thresholds_restored_after_campaign(
+        self, archive, simulation, default_thresholds
+    ):
+        gc.set_threshold(1000, 7, 3)
+        probe = _ThresholdProbe(TsvDirectorySource(archive))
+        ShardExecutor(simulation.trust_bundle, simulation.ct_log).run_source(probe)
+        assert set(probe.seen) == {CAMPAIGN_GEN0_THRESHOLD}
+        assert gc.get_threshold() == (1000, 7, 3)
+
+    def test_restored_after_degraded_campaign(
+        self, archive, simulation, default_thresholds
+    ):
+        probe = _ThresholdProbe(TsvDirectorySource(archive))
+        executor = ShardExecutor(
+            simulation.trust_bundle, simulation.ct_log,
+            retry=RetryPolicy(max_attempts=1),
+            fault_plan=WorkerFaultPlan(crash_months=(probe.months()[-1],)),
+        )
+        with pytest.raises(CampaignDegradedError):
+            executor.run_source(probe)
+        assert set(probe.seen) == {CAMPAIGN_GEN0_THRESHOLD}
+        assert gc.get_threshold() == default_thresholds
+
+    def test_nested_scopes(self, archive, simulation, default_thresholds):
+        probe = _ThresholdProbe(TsvDirectorySource(archive))
+        with collector_scope():
+            raised = gc.get_threshold()
+            assert raised == (CAMPAIGN_GEN0_THRESHOLD, 10, 10)
+            with collector_scope():
+                assert gc.get_threshold() == raised
+            ShardExecutor(
+                simulation.trust_bundle, simulation.ct_log
+            ).run_source(probe)
+            assert gc.get_threshold() == raised
+        assert gc.get_threshold() == default_thresholds
+        gc.set_threshold(2 * CAMPAIGN_GEN0_THRESHOLD, 10, 10)
+        with collector_scope():  # never lowers a threshold
+            assert gc.get_threshold()[0] == 2 * CAMPAIGN_GEN0_THRESHOLD
+        gc.set_threshold(0)
+        with collector_scope():  # automatic collection stays off
+            assert gc.get_threshold()[0] == 0
 
 
 class TestStudyJobs:

@@ -8,7 +8,11 @@ clean runs over the same surviving months.
 """
 
 import json
+import multiprocessing
 import multiprocessing.connection
+import os
+import time
+from collections import deque
 
 import pytest
 
@@ -21,6 +25,8 @@ from repro.core.supervisor import (
     RunHealth,
     ShardState,
     ShardSupervisor,
+    _PendingTask,
+    _Slot,
 )
 from repro.netsim import (
     ScenarioConfig,
@@ -398,6 +404,89 @@ class TestParentWait:
             budget = 3 * (phase["tasks"] + phase["failures"])
             assert phase["waits"] <= budget, phases
         assert sum(p["failures"] for p in phases) == (2 if faults else 0)
+
+
+def _pid_worker(conn) -> None:
+    """Serve ``(kind, key, attempt, seconds)``: sleep, answer the pid."""
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message is None:
+            break
+        _kind, key, _attempt, seconds = message
+        time.sleep(seconds)
+        conn.send((key, "ok", os.getpid()))
+
+
+class TestShardAffinity:
+    """A phase sends each key back to the worker that completed it in
+    the phase before; a worker with nothing of its own left steals."""
+
+    #: Task length unit (seconds): far above scheduling jitter.
+    UNIT = 0.03
+
+    def _paced(self, keys, short):
+        return [
+            (key, self.UNIT if key == short else 2 * self.UNIT)
+            for key in keys
+        ]
+
+    def test_keys_return_to_their_worker(self):
+        jobs = 2
+        keys = [f"k{index:02d}" for index in range(12)]
+        context = multiprocessing.get_context()
+        supervisor = ShardSupervisor(
+            jobs=jobs,
+            worker_factory=lambda conn: context.Process(
+                target=_pid_worker, args=(conn,), daemon=True
+            ),
+        )
+        try:
+            # Both workers are up before any timing matters.
+            supervisor.run_phase("warm", [("w0", 0.0), ("w1", 0.0)])
+            # Phase 1: the first key is short, so the workers alternate.
+            first = supervisor.run_phase("one", self._paced(keys, keys[0]))
+            # Phase 2: the second key is short instead. Each worker's
+            # own keys still add up to the same time, but handing every
+            # free worker the next key in queue order would swap the
+            # workers over from the third key on.
+            second = supervisor.run_phase("two", self._paced(keys, keys[1]))
+        finally:
+            supervisor.close()
+        assert len(set(first.values())) == jobs
+        moved = [key for key in keys if second[key] != first[key]]
+        assert len(moved) <= jobs - 1, (first, second)
+
+    def test_own_keys_then_homeless_then_the_last_steal(self):
+        supervisor = ShardSupervisor(jobs=2)
+        mine, other = _Slot(process=None, conn=None), _Slot(process=None, conn=None)
+        supervisor._homes = {"a": other, "b": mine, "d": other, "e": other}
+        pending = deque(
+            _PendingTask(key, None, attempt=1, eligible_at=0.0)
+            for key in "abcde"
+        )
+        assert supervisor._pick(mine, pending, now=1.0) == 1  # its own
+        del pending[1]
+        assert supervisor._pick(mine, pending, now=1.0) == 1  # homeless "c"
+        del pending[1]
+        assert supervisor._pick(mine, pending, now=1.0) == 2  # steals "e"
+        pending[2].eligible_at = 2.0  # "e" backs off: steal "d"
+        assert supervisor._pick(mine, pending, now=1.0) == 1
+        assert supervisor._pick(other, pending, now=1.0) == 0
+
+    def test_recycled_worker_loses_its_homes(self, monkeypatch):
+        supervisor = ShardSupervisor(jobs=2)
+        stale, kept = _Slot(process=None, conn=None), _Slot(process=None, conn=None)
+        supervisor._homes = {"a": stale, "b": kept, "c": stale}
+        monkeypatch.setattr(supervisor, "_destroy_slot", lambda slot: None)
+        monkeypatch.setattr(
+            supervisor, "_spawn_slot",
+            lambda: _Slot(process=object(), conn=object()),
+        )
+        supervisor._recycle_slot(stale)
+        assert supervisor._homes == {"b": kept}
 
 
 class TestRunHealthReport:

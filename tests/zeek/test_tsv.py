@@ -4,15 +4,17 @@ import datetime as dt
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.zeek import (
+    IngestOptions,
     SslRecord,
     TsvFormatError,
     X509Record,
     read_ssl_log,
     read_x509_log,
+    tsv,
     write_ssl_log,
     write_x509_log,
 )
@@ -64,18 +66,18 @@ def _x509_record(**overrides):
     return X509Record(**base)
 
 
-def _round_trip_ssl(records):
+def _round_trip_ssl(records, options=None):
     buffer = io.StringIO()
     write_ssl_log(records, buffer)
     buffer.seek(0)
-    return read_ssl_log(buffer)
+    return read_ssl_log(buffer, options)
 
 
-def _round_trip_x509(records):
+def _round_trip_x509(records, options=None):
     buffer = io.StringIO()
     write_x509_log(records, buffer)
     buffer.seek(0)
-    return read_x509_log(buffer)
+    return read_x509_log(buffer, options)
 
 
 class TestSslRoundTrip:
@@ -129,6 +131,61 @@ class TestX509RoundTrip:
         assert decoded.not_valid_after.year == 1849
 
 
+@pytest.mark.parametrize("fast_path", ["off", "auto"])
+@pytest.mark.parametrize("marker", ["-", "(empty)"])
+class TestMarkerSpelledValues:
+    """A value spelled like the unset (``-``) or empty (``(empty)``)
+    marker is written escaped and reads back as itself, not as unset,
+    under both decoders. The marker row sits among plain rows read in
+    small buffers, so the batch engine decodes it both line by line
+    and inside a clean interior chunk."""
+
+    @pytest.fixture(autouse=True)
+    def _small_batches(self, monkeypatch):
+        monkeypatch.setattr(tsv, "BATCH_CHUNK_CHARS", 512)
+
+    def test_ssl(self, marker, fast_path):
+        odd = _ssl_record(
+            uid="CMARKER",
+            server_name=marker,
+            cert_chain_fuids=(marker,),
+            client_cert_chain_fuids=(marker, "F9"),
+            validation_status=marker,
+        )
+        records = [_ssl_record(uid=f"C{i}") for i in range(30)]
+        for index in (0, 15):
+            records[index] = odd
+        decoded = _round_trip_ssl(records, IngestOptions(fast_path=fast_path))
+        assert decoded == records
+
+    def test_x509(self, marker, fast_path):
+        odd = _x509_record(
+            fuid="FMARKER",
+            subject=marker,
+            issuer=marker,
+            san_dns=(marker,),
+            san_uri=(marker,),
+            san_email=(marker, "a@b.example"),
+            san_ip=(marker,),
+            eku=(marker,),
+        )
+        records = [_x509_record(fuid=f"F{i}") for i in range(20)]
+        for index in (0, 10):
+            records[index] = odd
+        decoded = _round_trip_x509(records, IngestOptions(fast_path=fast_path))
+        assert decoded == records
+
+
+@pytest.mark.parametrize(
+    ("marker", "written"),
+    [("-", "\\x2d"), ("(empty)", "\\x28empty)")],
+)
+def test_marker_spelled_value_written_in_zeek_escapes(marker, written):
+    buffer = io.StringIO()
+    write_ssl_log([_ssl_record(server_name=marker)], buffer)
+    assert buffer.getvalue().splitlines()[-2].split("\t")[8] == written
+
+
 class TestHeadersAndErrors:
     def test_header_lines_present(self):
         buffer = io.StringIO()
@@ -178,6 +235,8 @@ sni_text = st.text(
     fuids=st.lists(st.text(alphabet="ABCdef123", min_size=1, max_size=8), max_size=4),
     established=st.booleans(),
 )
+@example(sni="-", fuids=[], established=True)
+@example(sni="(empty)", fuids=[], established=True)
 def test_ssl_round_trip_property(sni, fuids, established):
     record = _ssl_record(
         server_name=sni if sni != "" else None,
@@ -192,6 +251,8 @@ def test_ssl_round_trip_property(sni, fuids, established):
     san=st.lists(sni_text, max_size=4),
     serial=st.integers(0, 2**64).map(lambda n: f"{n:X}"),
 )
+@example(subject="-", san=["-"], serial="0")
+@example(subject="(empty)", san=["(empty)"], serial="0")
 def test_x509_round_trip_property(subject, san, serial):
     record = _x509_record(subject=subject, san_dns=tuple(san), serial=serial)
     assert _round_trip_x509([record]) == [record]
