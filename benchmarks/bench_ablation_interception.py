@@ -7,7 +7,7 @@ private-server population inflates and its mutual share drops.
 """
 
 from benchmarks.conftest import report
-from repro.core import prevalence
+from repro.core import protocol
 from repro.core.dataset import MtlsDataset
 from repro.core.enrich import Enricher
 from repro.core.report import Table
@@ -22,10 +22,11 @@ def test_ablation_interception_filter(benchmark, study, simulation):
             ct_log=simulation.ct_log,
             filter_interception=False,
         )
-        return prevalence.certificate_statistics(enricher.enrich(dataset))
+        enriched = enricher.enrich(dataset)
+        return protocol.run_analyses(enriched, ["table1"])["table1"].result()
 
     unfiltered = benchmark(run_unfiltered)
-    filtered = prevalence.certificate_statistics(study.enriched)
+    filtered = protocol.run_analyses(study.enriched, ["table1"])["table1"].result()
 
     off = {r.label: r for r in unfiltered}
     on = {r.label: r for r in filtered}

@@ -6,11 +6,13 @@ window.
 """
 
 from benchmarks.conftest import report
-from repro.core import prevalence
+from repro.core import prevalence, protocol
 
 
 def test_figure1_monthly_mutual_share(benchmark, study, enriched):
-    series = benchmark(prevalence.monthly_mutual_share, enriched)
+    series = benchmark(
+        lambda: protocol.run_analyses(enriched, ["figure1"])["figure1"].result()
+    )
     assert len(series) == 23
 
     first, last = series[0], series[-1]

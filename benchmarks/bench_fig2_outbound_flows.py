@@ -7,11 +7,13 @@ missing-issuer client certs.
 """
 
 from benchmarks.conftest import report
-from repro.core import issuers
+from repro.core import issuers, protocol
 
 
 def test_figure2_outbound_flows(benchmark, study, enriched):
-    flows = benchmark(issuers.outbound_flows, enriched)
+    flows = benchmark(
+        lambda: protocol.run_analyses(enriched, ["figure2"])["figure2"].result()
+    )
 
     # Missing issuer is the single largest client-issuer category.
     top_category, _ = flows.client_categories.most_common(1)[0]

@@ -8,11 +8,13 @@ identical timestamps); cohorts include rcgen (1975->1757), IDrive
 """
 
 from benchmarks.conftest import report
-from repro.core import validity
+from repro.core import protocol, validity
 
 
 def test_figure3_incorrect_dates(benchmark, study, enriched):
-    rows = benchmark(validity.incorrect_dates, enriched)
+    rows = benchmark(
+        lambda: protocol.run_analyses(enriched, ["figure3"])["figure3"].result()
+    )
     assert rows
 
     orgs = {r.issuer_org for r in rows}

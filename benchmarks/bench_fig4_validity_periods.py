@@ -6,11 +6,13 @@ private — 45.73% missing issuer, 37.58% corporations, 7.61% dummy); one
 """
 
 from benchmarks.conftest import report
-from repro.core import validity
+from repro.core import protocol, validity
 
 
 def test_figure4_validity_periods(benchmark, study, enriched):
-    stats = benchmark(validity.validity_periods, enriched)
+    stats = benchmark(
+        lambda: protocol.run_analyses(enriched, ["figure4"])["figure4"].result()
+    )
 
     # The extreme tail exists and is overwhelmingly private-CA issued.
     assert stats.extreme_certificates > 0                     # paper: 7,911

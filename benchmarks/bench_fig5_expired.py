@@ -8,11 +8,13 @@ azure-automation.net).
 """
 
 from benchmarks.conftest import report
-from repro.core import validity
+from repro.core import protocol, validity
 
 
 def test_figure5_expired_certificates(benchmark, study, enriched):
-    result = benchmark(validity.expired_certificates, enriched)
+    result = benchmark(
+        lambda: protocol.run_analyses(enriched, ["figure5"])["figure5"].result()
+    )
     assert result.inbound and result.outbound
 
     shares = result.inbound_association_shares()

@@ -8,7 +8,7 @@ population vanishes, and TLS 1.3 darkness grows on the residential side.
 """
 
 from benchmarks.conftest import report
-from repro.core import prevalence, tuples
+from repro.core import protocol, tuples
 from repro.core.report import Table
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig
@@ -26,8 +26,11 @@ def test_generalizability_campus_vs_residential(benchmark, study):
     residential = benchmark.pedantic(run_residential, rounds=1, iterations=1)
     campus = study.run()
 
-    campus_series = prevalence.monthly_mutual_share(campus.enriched)
-    residential_series = prevalence.monthly_mutual_share(residential.enriched)
+    def result(enriched, name):
+        return protocol.run_analyses(enriched, [name])[name].result()
+
+    campus_series = result(campus.enriched, "figure1")
+    residential_series = result(residential.enriched, "figure1")
     campus_share = sum(p.share for p in campus_series) / len(campus_series)
     residential_share = (
         sum(p.share for p in residential_series) / len(residential_series)
@@ -35,9 +38,9 @@ def test_generalizability_campus_vs_residential(benchmark, study):
     # Mutual TLS is an order of magnitude rarer at home.
     assert residential_share < campus_share / 3
 
-    campus_stats = {r.label: r for r in prevalence.certificate_statistics(campus.enriched)}
+    campus_stats = {r.label: r for r in result(campus.enriched, "table1")}
     residential_stats = {
-        r.label: r for r in prevalence.certificate_statistics(residential.enriched)
+        r.label: r for r in result(residential.enriched, "table1")
     }
     # Client certificates (managed devices) mostly disappear.
     campus_client_ratio = campus_stats["Client"].total / campus_stats["Total"].total

@@ -7,11 +7,13 @@ client + 38,928 server certs, same cert both ends, 14-day re-issuance);
 """
 
 from benchmarks.conftest import report
-from repro.core import dummy
+from repro.core import dummy, protocol
 
 
 def test_serial_collisions_inbound(benchmark, study, enriched):
-    result = benchmark(dummy.serial_collisions, enriched, "inbound")
+    result = benchmark(
+        lambda: protocol.run_analyses(enriched, ["serials-inbound"])["serials-inbound"].result()
+    )
     assert result.groups
 
     globus = [g for g in result.groups if g.issuer_org == "Globus Online"]
@@ -35,7 +37,9 @@ def test_serial_collisions_inbound(benchmark, study, enriched):
 
 
 def test_serial_collisions_outbound(benchmark, study, enriched):
-    result = benchmark(dummy.serial_collisions, enriched, "outbound")
+    result = benchmark(
+        lambda: protocol.run_analyses(enriched, ["serials-outbound"])["serials-outbound"].result()
+    )
     guardicore = {g.serial: g for g in result.groups if g.issuer_org == "GuardiCore"}
     assert set(guardicore) == {"01", "03E8"}                # paper: 01 / 03E8
     # Client serial 01 covers only client certs; 03E8 only servers.

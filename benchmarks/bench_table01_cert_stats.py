@@ -5,11 +5,13 @@ Paper: total 9,472,584 certs, 59.43% in mTLS; server 38.45% in mTLS
 """
 
 from benchmarks.conftest import report
-from repro.core import prevalence
+from repro.core import prevalence, protocol
 
 
 def test_table1_certificate_statistics(benchmark, study, enriched):
-    rows = benchmark(prevalence.certificate_statistics, enriched)
+    rows = benchmark(
+        lambda: protocol.run_analyses(enriched, ["table1"])["table1"].result()
+    )
     by_label = {r.label: r for r in rows}
 
     # Shape: the majority of certificates participates in mutual TLS.

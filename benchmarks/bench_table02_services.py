@@ -7,11 +7,13 @@ Non-mutual: inbound 443 85.18%; outbound 443 99.15%.
 """
 
 from benchmarks.conftest import report
-from repro.core import services
+from repro.core import protocol, services
 
 
 def test_table2_service_breakdown(benchmark, study, enriched):
-    breakdown = benchmark(services.service_breakdown, enriched)
+    breakdown = benchmark(
+        lambda: protocol.run_analyses(enriched, ["table2"])["table2"].result()
+    )
 
     def shares(rows):
         return {row.port_group: row.share for row in rows}

@@ -6,11 +6,13 @@ Organization 2.53% (96.62% Public); Unknown 1.34% (87.34% MissingIssuer).
 """
 
 from benchmarks.conftest import report
-from repro.core import issuers
+from repro.core import issuers, protocol
 
 
 def test_table3_inbound_associations(benchmark, study, enriched):
-    rows = benchmark(issuers.inbound_association_table, enriched)
+    rows = benchmark(
+        lambda: protocol.run_analyses(enriched, ["table3"])["table3"].result()
+    )
     by_name = {r.association: r for r in rows}
 
     # Ranking: the health system carries the majority of inbound mTLS;

@@ -6,11 +6,13 @@ Paper rows include 'Internet Widgits Pty Ltd' (OpenSSL default),
 """
 
 from benchmarks.conftest import report
-from repro.core import dummy
+from repro.core import dummy, protocol
 
 
 def test_table4_dummy_issuers(benchmark, study, enriched):
-    rows = benchmark(dummy.dummy_issuer_table, enriched)
+    rows = benchmark(
+        lambda: protocol.run_analyses(enriched, ["table4"])["table4"].result()
+    )
     assert rows
 
     orgs = {r.issuer_org for r in rows}

@@ -7,11 +7,13 @@ connections involved.
 """
 
 from benchmarks.conftest import report
-from repro.core import sharing
+from repro.core import protocol, sharing
 
 
 def test_table5_same_connection_sharing(benchmark, study, enriched):
-    rows = benchmark(sharing.same_connection_sharing, enriched)
+    rows = benchmark(
+        lambda: protocol.run_analyses(enriched, ["table5"])["table5"].result()
+    )
     assert rows
 
     orgs = {r.issuer_org for r in rows}

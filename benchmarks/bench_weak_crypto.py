@@ -6,11 +6,13 @@ keys involving 83 tuples (NIST disallowed 1024-bit keys after 2013).
 """
 
 from benchmarks.conftest import report
-from repro.core import dummy
+from repro.core import dummy, protocol
 
 
 def test_weak_crypto_in_dummy_certs(benchmark, study, enriched):
-    result = benchmark(dummy.weak_crypto_report, enriched)
+    result = benchmark(
+        lambda: protocol.run_analyses(enriched, ["weak-crypto"])["weak-crypto"].result()
+    )
 
     # At least one weak-crypto class materializes at bench scale, and
     # both are tiny relative to the population — matching the paper's

@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.core import prevalence
+from repro.core import prevalence, protocol
 from repro.core.dataset import MtlsDataset
 from repro.core.enrich import Enricher
 from repro.netsim import ScenarioConfig, TrafficGenerator
@@ -47,7 +47,7 @@ def main() -> None:
     print("4. Running the analysis on the reloaded logs...\n")
     enricher = Enricher(bundle=result.trust_bundle, ct_log=result.ct_log)
     enriched = enricher.enrich(MtlsDataset.from_logs(reloaded))
-    series = prevalence.monthly_mutual_share(enriched)
+    series = protocol.run_analyses(enriched, ["figure1"])["figure1"].result()
     print(prevalence.render_monthly_share(series).render())
 
     if cleanup is not None:

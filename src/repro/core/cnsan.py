@@ -615,47 +615,39 @@ protocol.register(protocol.Analysis(
     name="table7",
     title="Table 7: non-empty CN/SAN in mutual-TLS certificates",
     factory=Table7Partial,
-    legacy="repro.core.cnsan.utilization_table",
 ))
 protocol.register(protocol.Analysis(
     name="table8",
     title="Table 8: information types in CN and SAN (mutual TLS)",
     factory=Table8Partial,
-    legacy="repro.core.cnsan.information_types",
 ))
 protocol.register(protocol.Analysis(
     name="table9",
     title="Table 9: unidentified CN/SAN values — non-random vs random shapes",
     factory=Table9Partial,
-    legacy="repro.core.cnsan.unidentified_breakdown",
 ))
 protocol.register(protocol.Analysis(
     name="table13a",
     title="Table 13a: CN/SAN utilization in shared certificates",
     factory=Table13aPartial,
-    legacy="repro.core.cnsan.utilization_table",
 ))
 protocol.register(protocol.Analysis(
     name="table13b",
     title="Table 13b: information types in shared certificates",
     factory=Table13bPartial,
-    legacy="repro.core.cnsan.information_types",
 ))
 protocol.register(protocol.Analysis(
     name="table14a",
     title="Table 14a: CN/SAN utilization, non-mutual server certs",
     factory=Table14aPartial,
-    legacy="repro.core.cnsan.utilization_table",
 ))
 protocol.register(protocol.Analysis(
     name="table14b",
     title="Table 14b: information types, non-mutual server certs",
     factory=Table14bPartial,
-    legacy="repro.core.cnsan.information_types",
 ))
 protocol.register(protocol.Analysis(
     name="san-types",
     title="§6.1.2: explicit SAN type utilization and conformance",
     factory=SanTypesPartial,
-    legacy="repro.core.cnsan.san_type_usage",
 ))

@@ -35,7 +35,9 @@ class DummyIssuerRow:
 
 
 class Table4Partial(protocol.AnalysisPartial):
-    """Mutual-TLS connections using tooling-default issuer orgs (Table 4)."""
+    """Mutual-TLS connections using certificates whose issuer
+    organization is a tooling default ('Internet Widgits Pty Ltd', ...)
+    (Table 4)."""
 
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.rows: dict[tuple[str, str, str], DummyIssuerRow] = {}
@@ -93,15 +95,7 @@ protocol.register(protocol.Analysis(
     name="table4",
     title="Table 4: certificates with dummy issuers in mutual TLS",
     factory=Table4Partial,
-    legacy="repro.core.dummy.dummy_issuer_table",
 ))
-
-
-def dummy_issuer_table(enriched: EnrichedDataset) -> list[DummyIssuerRow]:
-    """Table 4: mutual-TLS connections using certificates whose issuer
-    organization is a tooling default ('Internet Widgits Pty Ltd', ...)."""
-    partial = Table4Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
 
 
 def render_dummy_issuer_table(rows: list[DummyIssuerRow]) -> Table:
@@ -288,25 +282,12 @@ protocol.register(protocol.Analysis(
     name="serials-inbound",
     title="Serial-number collisions within one issuer (inbound, §5.1.2)",
     factory=_serials_inbound_factory,
-    legacy="repro.core.dummy.serial_collisions",
 ))
 protocol.register(protocol.Analysis(
     name="serials-outbound",
     title="Serial-number collisions within one issuer (outbound, §5.1.2)",
     factory=_serials_outbound_factory,
-    legacy="repro.core.dummy.serial_collisions",
 ))
-
-
-def serial_collisions(
-    enriched: EnrichedDataset, direction: str
-) -> SerialCollisionReport:
-    """Find (issuer, serial) pairs covering more than one certificate
-    among mutual-TLS connections in the given direction (§5.1.2)."""
-    partial = SerialCollisionsPartial(
-        protocol.AnalysisContext.from_enriched(enriched), direction
-    )
-    return protocol.feed(partial, enriched).result()
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +380,7 @@ protocol.register(protocol.Analysis(
     name="weak-crypto",
     title="§5.1.1: weak cryptography in dummy-issuer certificates",
     factory=WeakCryptoPartial,
-    legacy="repro.core.dummy.weak_crypto_report",
 ))
-
-
-def weak_crypto_report(enriched: EnrichedDataset, weak_bits: int = 1024) -> WeakCryptoReport:
-    """Find v1 and short-key certificates among dummy-issuer client certs
-    used in mutual TLS, with their unique connection-tuple counts."""
-    partial = WeakCryptoPartial(
-        protocol.AnalysisContext.from_enriched(enriched), weak_bits
-    )
-    return protocol.feed(partial, enriched).result()
 
 
 def render_weak_crypto(report: WeakCryptoReport) -> Table:

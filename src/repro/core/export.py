@@ -62,21 +62,15 @@ def export_tables_dict(source, names=None) -> dict[str, Any]:
     ``source`` is anything with a ``table(name) -> Table`` method —
     a :class:`~repro.core.study.CampusStudy` or a
     :class:`~repro.core.parallel.CampaignResult`. ``names`` defaults to
-    every registered analysis, in paper order. Each entry carries the
-    registry name and the dotted legacy function it replaced, so
-    exports stay diffable across the API migration.
+    every registered analysis, in paper order. Each entry carries its
+    registry name and the rendered table.
     """
     from repro.core import protocol
 
     selected = tuple(names) if names is not None else protocol.analysis_names()
     analyses: dict[str, Any] = {}
     for name in selected:
-        entry = protocol.get_analysis(name)
-        analyses[name] = {
-            "analysis": name,
-            "legacy": entry.legacy,
-            **table_to_dict(source.table(name)),
-        }
+        analyses[name] = {"analysis": name, **table_to_dict(source.table(name))}
     return {"analyses": analyses, "order": list(selected)}
 
 

@@ -14,10 +14,9 @@ import io
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
+from repro.core import protocol
 from repro.core.enrich import EnrichedDataset
 from repro.core.issuers import categorize_issuer
-from repro.core.prevalence import monthly_mutual_share
-from repro.core.validity import expired_certificates, incorrect_dates
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,7 @@ def figure1_series(enriched: EnrichedDataset) -> list[Fig1Point]:
             mutual_connections=p.mutual_connections,
             mutual_share=round(p.share, 6),
         )
-        for p in monthly_mutual_share(enriched)
+        for p in protocol.run_analyses(enriched, ["figure1"])["figure1"].result()
     ]
 
 
@@ -83,7 +82,7 @@ class Fig3Segment:
 
 def figure3_segments(enriched: EnrichedDataset) -> list[Fig3Segment]:
     segments: list[Fig3Segment] = []
-    for row in incorrect_dates(enriched):
+    for row in protocol.run_analyses(enriched, ["figure3"])["figure3"].result():
         segments.append(
             Fig3Segment(
                 issuer_org=row.issuer_org,
@@ -159,7 +158,7 @@ class Fig5Point:
 
 
 def figure5_points(enriched: EnrichedDataset) -> list[Fig5Point]:
-    report = expired_certificates(enriched)
+    report = protocol.run_analyses(enriched, ["figure5"])["figure5"].result()
     points: list[Fig5Point] = []
     for usage in report.inbound + report.outbound:
         points.append(

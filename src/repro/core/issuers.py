@@ -249,14 +249,7 @@ protocol.register(protocol.Analysis(
     name="table3",
     title="Table 3: inbound mutual TLS by server association",
     factory=Table3Partial,
-    legacy="repro.core.issuers.inbound_association_table",
 ))
-
-
-def inbound_association_table(enriched: EnrichedDataset) -> list[AssociationRow]:
-    """Per-association connection/client shares and top client issuers."""
-    partial = Table3Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
 
 
 def render_inbound_association_table(rows: list[AssociationRow]) -> Table:
@@ -378,13 +371,7 @@ protocol.register(protocol.Analysis(
     name="figure2",
     title="Figure 2: outbound mutual TLS flows",
     factory=Figure2Partial,
-    legacy="repro.core.issuers.outbound_flows",
 ))
-
-
-def outbound_flows(enriched: EnrichedDataset) -> OutboundFlows:
-    partial = Figure2Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
 
 
 def render_outbound_flows(result: OutboundFlows, top: int = 12) -> Table:

@@ -199,7 +199,7 @@ class CampaignResult:
     metrics: metrics.MetricsRegistry | None = None
 
     def result(self, name: str):
-        """The rich result object of one analysis (legacy shape)."""
+        """The rich result object of one analysis (pre-render)."""
         try:
             partial = self.partials[name]
         except KeyError:

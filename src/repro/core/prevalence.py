@@ -3,9 +3,9 @@
 Both analyses are implemented as mergeable partials
 (:class:`Figure1Partial`, :class:`Table1Partial`) over two shared state
 types (:class:`MonthlyShareState`, :class:`CertUsageState`) that the
-streaming analyzer reuses for its bounded-memory aggregates. The
-module-level functions are the legacy whole-dataset API, now thin
-wrappers over the partials.
+streaming analyzer reuses for its bounded-memory aggregates. Both run
+through the analysis registry (:mod:`repro.core.protocol`) as
+``"figure1"`` and ``"table1"``.
 """
 
 from __future__ import annotations
@@ -243,31 +243,12 @@ protocol.register(protocol.Analysis(
     name="figure1",
     title="Figure 1: share of TLS connections using mutual TLS",
     factory=Figure1Partial,
-    legacy="repro.core.prevalence.monthly_mutual_share",
 ))
 protocol.register(protocol.Analysis(
     name="table1",
     title="Table 1: unique leaf certificates (total vs used in mutual TLS)",
     factory=Table1Partial,
-    legacy="repro.core.prevalence.certificate_statistics",
 ))
-
-
-# ---------------------------------------------------------------------------
-# Legacy whole-dataset API (compatibility wrappers)
-# ---------------------------------------------------------------------------
-
-
-def monthly_mutual_share(enriched: EnrichedDataset) -> list[MonthlyShare]:
-    """Figure 1: per-month fraction of TLS connections that are mutual."""
-    partial = Figure1Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
-
-
-def certificate_statistics(enriched: EnrichedDataset) -> list[CertStatsRow]:
-    """Table 1: unique leaf certificates by role and issuer kind."""
-    partial = Table1Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
 
 
 def render_monthly_share(series: list[MonthlyShare], width: int = 40) -> Table:

@@ -1,24 +1,24 @@
 """The mergeable-analysis contract every table/figure implements.
 
 The paper's pipeline is embarrassingly parallel across rotated monthly
-logs, but the original analysis layer exposed one bespoke whole-dataset
-function per table. This module defines the uniform contract that lets
-one driver — sequential or sharded — run *every* analysis:
+logs. This module defines the uniform contract that lets one driver —
+sequential or sharded — run *every* analysis:
 
 - :class:`AnalysisPartial` — a picklable partial aggregate with
   ``update(conn)`` (one enriched connection at a time), ``merge(other)``
   (combine two partials; associative and order-insensitive),
-  ``result()`` (the module's rich result object, what the legacy
-  function used to return) and ``finalize()`` (the rendered
-  :class:`~repro.core.report.Table`).
+  ``result()`` (the module's rich result object) and ``finalize()``
+  (the rendered :class:`~repro.core.report.Table`).
 - :class:`Analysis` — a registry entry binding a stable name
   (``"table1"``, ``"figure5"``, ...) to a partial factory.
 - the **registry** — ``register()`` / ``get_analysis()`` /
   ``iter_analyses()``; analysis modules register themselves at import
   and :func:`load_default_analyses` pulls them all in.
-- **drivers** — :func:`run_analyses` (one pass over a dataset updating
-  every requested partial) and :func:`feed` (one partial over one
-  dataset, the shape of the legacy compatibility wrappers).
+- **drivers** — :func:`run_analyses` (one pass over a whole dataset
+  updating every requested partial; ``run_analyses(enriched,
+  [name])[name].result()`` computes one analysis),
+  :func:`update_partials` (fold a connection stream into a partial
+  set) and :func:`merge_partials` (fold one set into another).
 - :class:`PopulationPartial` — the analyses that select from the
   certificate-profile population at finalize. A set built by
   :func:`create_partials` shares one :class:`ProfileStore` among them;
@@ -92,7 +92,7 @@ class AnalysisPartial:
         raise NotImplementedError
 
     def result(self) -> Any:
-        """The rich result object (what the legacy function returns)."""
+        """The rich result object the table is rendered from."""
         raise NotImplementedError
 
     def finalize(self) -> Table:
@@ -133,9 +133,6 @@ class Analysis:
     name: str
     title: str
     factory: Callable[[AnalysisContext], AnalysisPartial]
-    #: Dotted name of the legacy whole-dataset function this replaces
-    #: (documentation / migration table only).
-    legacy: str = ""
     #: True when the partial consumes the unfiltered dataset via
     #: ``update_raw`` (in addition to — or instead of — ``update``).
     needs_raw: bool = False
@@ -289,20 +286,6 @@ def merge_partials(
     return into
 
 
-def feed(
-    partial: AnalysisPartial,
-    enriched: "EnrichedDataset",
-    raw: "MtlsDataset | None" = None,
-) -> AnalysisPartial:
-    """Feed one partial the whole dataset — the legacy-wrapper shape."""
-    for conn in enriched.connections:
-        partial.update(conn)
-    if raw is not None:
-        for view in raw.connections:
-            partial.update_raw(view)
-    return partial
-
-
 # ---------------------------------------------------------------------------
 # Context-only analyses
 # ---------------------------------------------------------------------------
@@ -337,5 +320,4 @@ register(Analysis(
     name="interception",
     title="§3.2: TLS interception filter",
     factory=InterceptionSummaryPartial,
-    legacy="repro.core.enrich.Enricher.interception_report",
 ))

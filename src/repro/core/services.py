@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.core import protocol
-from repro.core.enrich import EnrichedConn, EnrichedDataset
+from repro.core.enrich import EnrichedConn
 from repro.core.report import Table
 from repro.tls.ports import ServiceRegistry, default_registry
 
@@ -57,7 +57,12 @@ def _rank(
 
 
 class Table2Partial(protocol.AnalysisPartial):
-    """Per-quadrant server-port counters (Table 2)."""
+    """Per-quadrant server-port counters (Table 2), ranked per direction
+    × mutual quadrant at finalize.
+
+    Port ranges known to the registry (e.g. Globus' 50000-51000) are
+    collapsed onto a single row, as the paper does.
+    """
 
     def __init__(
         self,
@@ -96,24 +101,7 @@ protocol.register(protocol.Analysis(
     name="table2",
     title="Table 2: prominent services, mutual vs non-mutual TLS",
     factory=Table2Partial,
-    legacy="repro.core.services.service_breakdown",
 ))
-
-
-def service_breakdown(
-    enriched: EnrichedDataset,
-    registry: ServiceRegistry | None = None,
-    top: int = 5,
-) -> ServiceBreakdown:
-    """Rank server ports for each direction × mutual quadrant.
-
-    Port ranges known to the registry (e.g. Globus' 50000-51000) are
-    collapsed onto a single row, as the paper does.
-    """
-    partial = Table2Partial(
-        protocol.AnalysisContext.from_enriched(enriched), registry, top
-    )
-    return protocol.feed(partial, enriched).result()
 
 
 def render_service_breakdown(breakdown: ServiceBreakdown) -> Table:

@@ -34,7 +34,8 @@ class SameConnectionSharingRow:
 
 
 class Table5Partial(protocol.AnalysisPartial):
-    """Same-certificate-at-both-ends connections (Table 5).
+    """Same-certificate-at-both-ends connections, grouped by
+    (direction, SLD, issuer) (Table 5).
 
     ``issuer_public`` comes from the earliest witnessing connection
     (min ``(ts, uid)``), so any shard split elects the same witness.
@@ -117,15 +118,7 @@ protocol.register(protocol.Analysis(
     name="table5",
     title="Table 5: certificates shared by client and server in the same connection",
     factory=Table5Partial,
-    legacy="repro.core.sharing.same_connection_sharing",
 ))
-
-
-def same_connection_sharing(enriched: EnrichedDataset) -> list[SameConnectionSharingRow]:
-    """Table 5: connections where the server and client chains carry the
-    same leaf certificate, grouped by (direction, SLD, issuer)."""
-    partial = Table5Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
 
 
 def render_same_connection_sharing(rows: list[SameConnectionSharingRow]) -> Table:
@@ -202,7 +195,6 @@ protocol.register(protocol.Analysis(
     name="table6",
     title="Table 6: /24 subnets per certificate shared across server and client roles",
     factory=Table6Partial,
-    legacy="repro.core.sharing.cross_connection_subnets",
 ))
 
 

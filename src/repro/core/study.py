@@ -41,6 +41,7 @@ from repro.zeek import (
     ssl_log_to_string,
     x509_log_to_string,
 )
+from repro.x509.facts import CacheStats
 from repro.zeek.ingest import IngestOptions
 
 
@@ -112,6 +113,7 @@ class CampusStudy:
         self._simulation: SimulationResult | None = None
         self._ingested: _Ingested | None = None
         self._result: StudyResult | None = None
+        self._enrich_cache_stats: CacheStats | None = None
         self._partials: dict[str, protocol.AnalysisPartial] | None = None
 
     def _simulate(self) -> SimulationResult:
@@ -148,17 +150,8 @@ class CampusStudy:
             )
             with tracing.span("study.enrich"):
                 enriched = enricher.enrich(dataset)
-            registry = metrics.get_registry()
-            registry.inc(
-                "analyze.connections_raw", len(dataset.connections)
-            )
-            registry.inc(
-                "analyze.connections_enriched", len(enriched.connections)
-            )
-            if enricher.fact_cache is not None:
-                registry.observe_cache(
-                    enricher.fact_cache.stats, "certfacts.enrich"
-                )
+        if enricher.fact_cache is not None:
+            self._enrich_cache_stats = enricher.fact_cache.stats
         self._result = StudyResult(
             simulation=simulation, dataset=dataset, enriched=enriched,
             ingest_report=dataset.ingest_report,
@@ -211,7 +204,20 @@ class CampusStudy:
         if self.jobs:
             self._partials = self._run_sharded()
         else:
+            # Recorded here, not in run(): a sharded study also enriches
+            # in run() (for `enriched` and the JSON summary) and takes
+            # these counters from the executor instead.
             result = self.run()
+            self.metrics.inc(
+                "analyze.connections_raw", len(result.dataset.connections)
+            )
+            self.metrics.inc(
+                "analyze.connections_enriched", len(result.enriched.connections)
+            )
+            if self._enrich_cache_stats is not None:
+                self.metrics.observe_cache(
+                    self._enrich_cache_stats, "certfacts.enrich"
+                )
             with metrics.scoped(self.metrics), tracing.span("study.analyze"):
                 self._partials = protocol.run_analyses(
                     result.enriched, raw=result.dataset

@@ -210,6 +210,5 @@ protocol.register(protocol.Analysis(
     name="tls13",
     title="§3.3: the TLS 1.3 blind spot (certificates invisible to the monitor)",
     factory=Tls13Partial,
-    legacy="repro.core.tuples.tls13_blindspot",
     needs_raw=True,
 ))

@@ -54,7 +54,12 @@ class IncorrectDateRow:
 
 
 class Figure3Partial(protocol.AnalysisPartial):
-    """Inverted-validity certificates in mutual TLS (Figure 3)."""
+    """Certificates whose notBefore does not precede notAfter, seen in
+    established mutual-TLS connections (Figure 3, Tables 11-12).
+
+    Certificates whose two timestamps are identical are included, as in
+    the paper (the ayoba.me row).
+    """
 
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.rows: dict[tuple[str, str], IncorrectDateRow] = {}
@@ -108,18 +113,7 @@ protocol.register(protocol.Analysis(
     name="figure3",
     title="Tables 11-12 / Figure 3: certificates with inverted validity dates",
     factory=Figure3Partial,
-    legacy="repro.core.validity.incorrect_dates",
 ))
-
-
-def incorrect_dates(enriched: EnrichedDataset) -> list[IncorrectDateRow]:
-    """Certificates whose notBefore does not precede notAfter, seen in
-    established mutual-TLS connections (Figure 3, Tables 11-12).
-
-    Certificates whose two timestamps are identical are included, as in
-    the paper (the ayoba.me row)."""
-    partial = Figure3Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
 
 
 def incorrect_dates_both_endpoints(enriched: EnrichedDataset) -> list[IncorrectDateRow]:
@@ -198,7 +192,8 @@ class ValidityPeriodStats:
 
 
 class Figure4Partial(protocol.AnalysisPartial):
-    """Validity periods of client certificates in mutual TLS (Figure 4).
+    """Validity periods of client certificates in mutual TLS, excluding
+    inverted-date certificates, by issuer category (Figure 4).
 
     Keeps one record per client-certificate fingerprint; all statistics
     (including the longest-validity election, tie-broken by fingerprint)
@@ -273,19 +268,7 @@ protocol.register(protocol.Analysis(
     name="figure4",
     title="Figure 4: client-certificate validity periods by issuer category",
     factory=Figure4Partial,
-    legacy="repro.core.validity.validity_periods",
 ))
-
-
-def validity_periods(
-    enriched: EnrichedDataset, direction: str | None = None
-) -> ValidityPeriodStats:
-    """Figure 4: validity periods of client certificates used in mutual
-    TLS, excluding inverted-date certificates, by issuer category."""
-    partial = Figure4Partial(
-        protocol.AnalysisContext.from_enriched(enriched), direction
-    )
-    return protocol.feed(partial, enriched).result()
 
 
 def render_validity_periods(stats: ValidityPeriodStats) -> Table:
@@ -370,7 +353,8 @@ class _ExpiredState:
 
 
 class Figure5Partial(protocol.AnalysisPartial):
-    """Expired client certificates in established mutual TLS (Figure 5)."""
+    """Client certificates presented in established mutual TLS after
+    their notAfter, with their activity spans (Figure 5)."""
 
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.expired: dict[str, _ExpiredState] = {}
@@ -482,15 +466,7 @@ protocol.register(protocol.Analysis(
     name="figure5",
     title="Figure 5: expired client certificates in established mutual TLS",
     factory=Figure5Partial,
-    legacy="repro.core.validity.expired_certificates",
 ))
-
-
-def expired_certificates(enriched: EnrichedDataset) -> ExpiredReport:
-    """Figure 5: client certificates presented in established connections
-    after their notAfter, with duration-of-activity tracking."""
-    partial = Figure5Partial(protocol.AnalysisContext.from_enriched(enriched))
-    return protocol.feed(partial, enriched).result()
 
 
 def render_expired_report(report: ExpiredReport) -> Table:

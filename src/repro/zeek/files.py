@@ -51,7 +51,11 @@ def partition_by_month(records: Iterable) -> dict[str, list]:
 
 def _open_text(path: Path, mode: str) -> TextIO:
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
+        # mtime=0: the same logs compress to the same bytes, so a
+        # regenerated archive keeps its source fingerprint.
+        return io.TextIOWrapper(
+            gzip.GzipFile(path, mode + "b", mtime=0), encoding="utf-8"
+        )
     return path.open(mode, encoding="utf-8")
 
 

@@ -199,9 +199,7 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert "table5" in payload["analyses"]
-        assert payload["analyses"]["table5"]["legacy"] == (
-            "repro.core.sharing.same_connection_sharing"
-        )
+        assert all("legacy" not in entry for entry in payload["analyses"].values())
 
     def test_study_jobs_single_table(self, capsys):
         code = main([

@@ -90,10 +90,12 @@ class TestDirectionSplit:
         assert surged > baseline
 
     def test_totals_match_monthly_mutual(self, medium_result):
-        from repro.core.prevalence import monthly_mutual_share
+        from repro.core import protocol
 
         split = direction_split_series(medium_result.enriched)
-        monthly = monthly_mutual_share(medium_result.enriched)
+        monthly = protocol.run_analyses(
+            medium_result.enriched, ["figure1"]
+        )["figure1"].result()
         for point, month in zip(split, monthly):
             assert point.inbound_mutual + point.outbound_mutual == month.mutual_connections
 
@@ -118,6 +120,4 @@ class TestRegistryExport:
             export_tables_json(small_study, names=("tls13", "table1"))
         )
         assert payload["order"] == ["tls13", "table1"]
-        assert payload["analyses"]["tls13"]["legacy"] == (
-            "repro.core.tuples.tls13_blindspot"
-        )
+        assert all("legacy" not in entry for entry in payload["analyses"].values())

@@ -24,10 +24,12 @@ class TestCsvSerialization:
 
 class TestFigure1:
     def test_series_matches_prevalence(self, medium_result):
-        from repro.core.prevalence import monthly_mutual_share
+        from repro.core import protocol
 
         series = figures.figure1_series(medium_result.enriched)
-        reference = monthly_mutual_share(medium_result.enriched)
+        reference = protocol.run_analyses(
+            medium_result.enriched, ["figure1"]
+        )["figure1"].result()
         assert [p.month for p in series] == [p.label for p in reference]
         assert all(0 <= p.mutual_share <= 1 for p in series)
 

@@ -366,6 +366,26 @@ class TestStudyJobs:
         )
         assert [t.render() for t in study.all_tables()] == reference
 
+    @pytest.mark.parametrize("jobs", [0, 1, 2])
+    def test_export_counts_each_connection_once(self, jobs):
+        """`study_to_dict` enriches in-process (`run()`) at every job
+        count; the analysis counters come from the one analysis pass."""
+        from repro.core.export import study_to_dict
+
+        exported = CampusStudy(
+            seed=41, months=3, connections_per_month=200, jobs=jobs
+        )
+        study_to_dict(exported)
+        fresh = CampusStudy(
+            seed=41, months=3, connections_per_month=200, jobs=jobs
+        )
+        fresh.partials()
+        counters = exported.metrics.counters
+        assert counters == fresh.metrics.counters
+        assert counters["analyze.connections_raw"] == len(
+            exported.run().dataset.connections
+        )
+
     def test_single_table_access(self):
         study = CampusStudy(
             seed=41, months=3, connections_per_month=200, jobs=2

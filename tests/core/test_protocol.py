@@ -8,7 +8,6 @@ tables. That is what makes the shard executor provably equivalent to
 the sequential pipeline.
 """
 
-import importlib
 import pickle
 import random
 
@@ -50,8 +49,8 @@ def _chunks(connections, raw_views, splits):
 
 def _standalone_set(context, chunk, raw_chunk):
     """One private partial per analysis, each fed on its own — the
-    shape of the legacy wrappers and of state written before the
-    population partials shared a store."""
+    shape of a partial built by its factory and of state written before
+    the population partials shared a store."""
     partials = {}
     for analysis in protocol.iter_analyses():
         partial = analysis.factory(context)
@@ -131,26 +130,6 @@ class TestRegistry:
         names = protocol.analysis_names()
         in_order = [n for n in names if n in protocol.PAPER_TABLE_ORDER]
         assert tuple(in_order) == protocol.PAPER_TABLE_ORDER
-
-    def test_legacy_names_resolve(self):
-        """Every migration-table entry points at a real callable."""
-        for analysis in protocol.iter_analyses():
-            if not analysis.legacy:
-                continue
-            parts = analysis.legacy.split(".")
-            target = None
-            depth = 0
-            for i in range(len(parts), 0, -1):
-                try:
-                    target = importlib.import_module(".".join(parts[:i]))
-                    depth = i
-                    break
-                except ModuleNotFoundError:
-                    continue
-            assert target is not None, analysis.legacy
-            for part in parts[depth:]:
-                target = getattr(target, part)
-            assert callable(target), analysis.legacy
 
     def test_duplicate_name_with_different_factory_rejected(self):
         existing = protocol.get_analysis("table1")

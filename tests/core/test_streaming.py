@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import prevalence
+from repro.core import protocol
 from repro.core.dataset import MtlsDataset
 from repro.core.enrich import Enricher
 from repro.core.streaming import StreamingAnalyzer
@@ -18,6 +18,10 @@ def world():
         bundle=simulation.trust_bundle, filter_interception=False
     ).enrich(MtlsDataset.from_logs(simulation.logs))
     return simulation, batch
+
+
+def _batch(enriched, name):
+    return protocol.run_analyses(enriched, [name])[name].result()
 
 
 def _feed_monthly(simulation, analyzer):
@@ -37,7 +41,7 @@ class TestStreamingMatchesBatch:
         simulation, batch = world
         analyzer = StreamingAnalyzer(simulation.trust_bundle)
         _feed_monthly(simulation, analyzer)
-        assert analyzer.monthly_mutual_share() == prevalence.monthly_mutual_share(batch)
+        assert analyzer.monthly_mutual_share() == _batch(batch, "figure1")
 
     def test_certificate_statistics_identical(self, world):
         simulation, batch = world
@@ -49,7 +53,7 @@ class TestStreamingMatchesBatch:
         }
         batch_stats = {
             r.label: (r.total, r.mutual)
-            for r in prevalence.certificate_statistics(batch)
+            for r in _batch(batch, "table1")
         }
         assert streaming == batch_stats
 
@@ -71,7 +75,7 @@ class TestStreamingMatchesBatch:
         analyzer.certificate_statistics()
         analyzer.add_ssl(simulation.logs.ssl[half:])
         assert analyzer.connections_seen > midpoint
-        assert analyzer.monthly_mutual_share() == prevalence.monthly_mutual_share(batch)
+        assert analyzer.monthly_mutual_share() == _batch(batch, "figure1")
 
     def test_unestablished_dropped(self, world):
         simulation, _ = world

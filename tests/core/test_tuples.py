@@ -1,7 +1,11 @@
 """Tests for connection tuples, the TLS 1.3 blind spot, and weak crypto."""
 
-from repro.core import tuples
-from repro.core.dummy import weak_crypto_report, render_weak_crypto
+from repro.core import protocol, tuples
+from repro.core.dummy import WeakCryptoPartial, render_weak_crypto
+
+
+def _weak_crypto(enriched):
+    return protocol.run_analyses(enriched, ["weak-crypto"])["weak-crypto"].result()
 
 
 class TestConnectionTuples:
@@ -62,7 +66,7 @@ class TestTls13Blindspot:
 
 class TestWeakCrypto:
     def test_report_on_medium_run(self, medium_result):
-        report = weak_crypto_report(medium_result.enriched)
+        report = _weak_crypto(medium_result.enriched)
         # The generator plants v1 certs under 'Internet Widgits Pty Ltd'
         # and 1024-bit keys under 'Unspecified' probabilistically; at
         # medium scale at least one class shows up.
@@ -74,16 +78,21 @@ class TestWeakCrypto:
             assert report.weak_key_tuples == 0
 
     def test_v1_certs_are_dummy_issued(self, medium_result):
-        report = weak_crypto_report(medium_result.enriched)
+        report = _weak_crypto(medium_result.enriched)
         for fp in report.v1_fingerprints:
             record = medium_result.enriched.profiles[fp].record
             assert record.version == 1
 
     def test_weak_key_threshold_configurable(self, medium_result):
-        generous = weak_crypto_report(medium_result.enriched, weak_bits=4096)
-        strict = weak_crypto_report(medium_result.enriched, weak_bits=512)
+        enriched = medium_result.enriched
+        context = protocol.AnalysisContext.from_enriched(enriched)
+        generous = WeakCryptoPartial(context, weak_bits=4096)
+        strict = WeakCryptoPartial(context, weak_bits=512)
+        protocol.update_partials({"weak-crypto": generous}, enriched.connections)
+        protocol.update_partials({"weak-crypto": strict}, enriched.connections)
+        generous, strict = generous.result(), strict.result()
         assert len(generous.weak_key_fingerprints) >= len(strict.weak_key_fingerprints)
 
     def test_render(self, medium_result):
-        text = render_weak_crypto(weak_crypto_report(medium_result.enriched)).render()
+        text = render_weak_crypto(_weak_crypto(medium_result.enriched)).render()
         assert "§5.1.1" in text and "1024" in text

@@ -10,11 +10,15 @@ import io
 
 import pytest
 
-from repro.core import prevalence, services
+from repro.core import protocol
 from repro.core.dataset import MtlsDataset
 from repro.core.enrich import Enricher
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek import read_ssl_log, read_x509_log, write_ssl_log, write_x509_log
+
+
+def _result(enriched, name):
+    return protocol.run_analyses(enriched, [name])[name].result()
 
 
 @pytest.fixture(scope="module")
@@ -56,27 +60,25 @@ class TestSerializationTransparency:
 
         direct_stats = {
             r.label: (r.total, r.mutual)
-            for r in prevalence.certificate_statistics(direct)
+            for r in _result(direct, "table1")
         }
         reloaded_stats = {
             r.label: (r.total, r.mutual)
-            for r in prevalence.certificate_statistics(reloaded)
+            for r in _result(reloaded, "table1")
         }
         assert direct_stats == reloaded_stats
 
-        direct_services = services.service_breakdown(direct)
-        reloaded_services = services.service_breakdown(reloaded)
+        direct_services = _result(direct, "table2")
+        reloaded_services = _result(reloaded, "table2")
         assert direct_services == reloaded_services
 
     def test_monthly_series_identical(self, simulation, reloaded_logs):
         ssl, x509 = reloaded_logs
         enricher = Enricher(bundle=simulation.trust_bundle)
-        direct = prevalence.monthly_mutual_share(
-            enricher.enrich(MtlsDataset.from_logs(simulation.logs))
+        direct = _result(
+            enricher.enrich(MtlsDataset.from_logs(simulation.logs)), "figure1"
         )
-        reloaded = prevalence.monthly_mutual_share(
-            enricher.enrich(MtlsDataset(ssl, x509))
-        )
+        reloaded = _result(enricher.enrich(MtlsDataset(ssl, x509)), "figure1")
         assert direct == reloaded
 
 

@@ -8,7 +8,7 @@ input — the pipeline-level analogue of the per-module property tests.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import cnsan, prevalence, services
+from repro.core import cnsan, protocol
 from repro.core.dataset import MtlsDataset
 from repro.core.enrich import Enricher
 from repro.netsim import ScenarioConfig, TrafficGenerator
@@ -19,6 +19,10 @@ configs = st.builds(
     months=st.integers(1, 4),
     connections_per_month=st.integers(60, 250),
 )
+
+
+def _result(enriched, name):
+    return protocol.run_analyses(enriched, [name])[name].result()
 
 
 def _run(config: ScenarioConfig):
@@ -36,12 +40,12 @@ def test_pipeline_invariants(config):
     simulation, enriched = _run(config)
 
     # 1. Connection accounting: every generated month appears; totals add up.
-    series = prevalence.monthly_mutual_share(enriched)
+    series = _result(enriched, "figure1")
     assert len(series) <= config.months
     assert sum(p.total_connections for p in series) == len(enriched.connections)
 
     # 2. Certificate accounting: Table 1 partitions exactly.
-    rows = {r.label: r for r in prevalence.certificate_statistics(enriched)}
+    rows = {r.label: r for r in _result(enriched, "table1")}
     assert rows["Total"].total == rows["Server"].total + rows["Client"].total
     assert rows["Server"].total == (
         rows["Server/Public"].total + rows["Server/Private"].total
@@ -61,7 +65,7 @@ def test_pipeline_invariants(config):
             assert not conn.is_mutual
 
     # 4. Service shares are probabilities summing to ≤ 1 per quadrant.
-    breakdown = services.service_breakdown(enriched)
+    breakdown = _result(enriched, "table2")
     for quadrant in (
         breakdown.inbound_mutual, breakdown.outbound_mutual,
         breakdown.inbound_nonmutual, breakdown.outbound_nonmutual,

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.core import prevalence
+from repro.core import protocol
 from repro.core.streaming import StreamingAnalyzer
 from repro.core.study import CampusStudy
 from repro.netsim import FaultPlan, LogCorruptor
@@ -24,6 +24,10 @@ from repro.zeek import (
 #: The acceptance scenario: ~5% of all lines faulted.
 FAULT_RATE = 0.05
 CONFIG = dict(months=4, connections_per_month=400, seed=29)
+
+
+def _result(enriched, name):
+    return protocol.run_analyses(enriched, [name])[name].result()
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +59,11 @@ class TestFaultedCampaignRecovers:
     def test_figure1_recovered_within_tolerance(self, clean_study, quarantine_study):
         clean = {
             s.label: s.share
-            for s in prevalence.monthly_mutual_share(clean_study.enriched)
+            for s in _result(clean_study.enriched, "figure1")
         }
         faulted = {
             s.label: s.share
-            for s in prevalence.monthly_mutual_share(quarantine_study.enriched)
+            for s in _result(quarantine_study.enriched, "figure1")
         }
         assert set(faulted) == set(clean)  # no month lost entirely
         for label, share in clean.items():
@@ -68,11 +72,11 @@ class TestFaultedCampaignRecovers:
     def test_table1_recovered_within_tolerance(self, clean_study, quarantine_study):
         clean = {
             r.label: (r.total, r.mutual)
-            for r in prevalence.certificate_statistics(clean_study.enriched)
+            for r in _result(clean_study.enriched, "table1")
         }
         faulted = {
             r.label: (r.total, r.mutual)
-            for r in prevalence.certificate_statistics(quarantine_study.enriched)
+            for r in _result(quarantine_study.enriched, "table1")
         }
         assert set(faulted) == set(clean)
         for label, (total, mutual) in clean.items():

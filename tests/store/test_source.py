@@ -4,6 +4,7 @@ fingerprint invalidation, policy mismatch rejection, worker pickling."""
 import gzip
 import json
 import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,32 @@ class TestEnsureStore:
             assert refreshed != fingerprint
         finally:
             victim.write_bytes(original)
+
+    def test_rewritten_archive_reuses_store(self, tmp_path, monkeypatch):
+        """The same logs written again later are the same bytes (no
+        write time in the gzip headers), so they keep the fingerprint
+        and the store packed from the first write."""
+        logs = TrafficGenerator(
+            ScenarioConfig(seed=13, months=2, connections_per_month=100)
+        ).generate().logs
+        first, second = tmp_path / "first", tmp_path / "second"
+        write_rotated_logs(logs, first)
+        later = time.time() + 3600
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "time", lambda: later)
+            write_rotated_logs(logs, second)
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert TsvDirectorySource(first).fingerprint() == \
+            TsvDirectorySource(second).fingerprint()
+        store_dir = tmp_path / "store"
+        pack_archive(first, store_dir)
+        manifest = store_dir / MANIFEST_NAME
+        before = manifest.stat().st_mtime_ns
+        ensure_store(second, store_dir)
+        assert manifest.stat().st_mtime_ns == before
 
     def test_repacks_on_policy_change(self, archive, tmp_path):
         store_dir = tmp_path / "store"
