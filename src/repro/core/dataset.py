@@ -97,13 +97,6 @@ class CertProfile:
             return 0.0
         return (self.last_seen - self.first_seen).total_seconds() / 86400.0
 
-    def observe(self, ts: _dt.datetime) -> None:
-        if self.first_seen is None or ts < self.first_seen:
-            self.first_seen = ts
-        if self.last_seen is None or ts > self.last_seen:
-            self.last_seen = ts
-        self.connection_count += 1
-
     def merge(self, other: "CertProfile") -> None:
         """Fold another partial profile of the same certificate in."""
         self.used_as_server = self.used_as_server or other.used_as_server
@@ -137,29 +130,50 @@ class ProfileStore:
     def __init__(self) -> None:
         self.profiles: dict[str, CertProfile] = {}
 
-    def _profile_for(self, record) -> CertProfile:
-        existing = self.profiles.get(record.fingerprint)
-        if existing is None:
-            existing = CertProfile(record=record)
-            self.profiles[record.fingerprint] = existing
-        return existing
+    def observe_batch(self, views: Iterable["ConnView"]) -> None:
+        """Fold a batch of connection views into the profiles, in order.
 
-    def observe(self, conn: "ConnView") -> None:
-        mutual = conn.is_mutual
-        if conn.server_leaf is not None:
-            profile = self._profile_for(conn.server_leaf)
-            profile.used_as_server = True
-            profile.used_in_mutual = profile.used_in_mutual or mutual
-            profile.observe(conn.ts)
-            profile.server_subnets.add(subnet24(conn.ssl.id_resp_h))
-            profile.client_ips.add(conn.ssl.id_orig_h)
-        if conn.client_leaf is not None:
-            profile = self._profile_for(conn.client_leaf)
-            profile.used_as_client = True
-            profile.used_in_mutual = profile.used_in_mutual or mutual
-            profile.observe(conn.ts)
-            profile.client_subnets.add(subnet24(conn.ssl.id_orig_h))
-            profile.client_ips.add(conn.ssl.id_orig_h)
+        The two roles are written out rather than looped over: this is
+        the hottest fold of a campaign.
+        """
+        profiles = self.profiles
+        for view in views:
+            ssl = view.ssl
+            ts = ssl.ts
+            client_ip = ssl.id_orig_h
+            server_leaf = view.server_leaf
+            client_leaf = view.client_leaf
+            mutual = server_leaf is not None and client_leaf is not None
+            if server_leaf is not None:
+                profile = profiles.get(server_leaf.fingerprint)
+                if profile is None:
+                    profile = CertProfile(record=server_leaf)
+                    profiles[server_leaf.fingerprint] = profile
+                profile.used_as_server = True
+                if mutual:
+                    profile.used_in_mutual = True
+                if profile.first_seen is None or ts < profile.first_seen:
+                    profile.first_seen = ts
+                if profile.last_seen is None or ts > profile.last_seen:
+                    profile.last_seen = ts
+                profile.connection_count += 1
+                profile.server_subnets.add(subnet24(ssl.id_resp_h))
+                profile.client_ips.add(client_ip)
+            if client_leaf is not None:
+                profile = profiles.get(client_leaf.fingerprint)
+                if profile is None:
+                    profile = CertProfile(record=client_leaf)
+                    profiles[client_leaf.fingerprint] = profile
+                profile.used_as_client = True
+                if mutual:
+                    profile.used_in_mutual = True
+                if profile.first_seen is None or ts < profile.first_seen:
+                    profile.first_seen = ts
+                if profile.last_seen is None or ts > profile.last_seen:
+                    profile.last_seen = ts
+                profile.connection_count += 1
+                profile.client_subnets.add(subnet24(client_ip))
+                profile.client_ips.add(client_ip)
 
     def merge(self, other: "ProfileStore") -> None:
         for fingerprint, theirs in other.profiles.items():
@@ -267,8 +281,7 @@ class MtlsDataset:
         if self._profiles is not None:
             return self._profiles
         store = ProfileStore()
-        for conn in self.connections:
-            store.observe(conn)
+        store.observe_batch(self.connections)
         self._profiles = store.profiles
         return self._profiles
 

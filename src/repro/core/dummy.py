@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core import protocol
 from repro.core.enrich import EnrichedConn, EnrichedDataset
@@ -42,30 +43,39 @@ class Table4Partial(protocol.AnalysisPartial):
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.rows: dict[tuple[str, str, str], DummyIssuerRow] = {}
 
-    def update(self, conn: EnrichedConn) -> None:
-        if not conn.is_mutual:
-            return
-        sni = conn.view.sni
-        parts = extract_domain(sni) if sni else None
-        if conn.direction == "inbound":
-            group = conn.association or "Unknown"
-        else:
-            group = parts.suffix if parts and parts.suffix else "(missing SNI)"
-        for side, leaf in (("client", conn.view.client_leaf),
-                           ("server", conn.view.server_leaf)):
-            if leaf is None or not _is_dummy_org(leaf.issuer_org):
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        rows = self.rows
+        for conn in conns:
+            if not conn.is_mutual:
                 continue
-            key = (conn.direction, side, leaf.issuer_org or "")
-            row = self.rows.get(key)
-            if row is None:
-                row = DummyIssuerRow(
-                    direction=conn.direction, side=side, issuer_org=key[2]
-                )
-                self.rows[key] = row
-            row.server_groups.add(group)
-            row.servers.add(conn.view.ssl.id_resp_h)
-            row.clients.add(conn.view.ssl.id_orig_h)
-            row.connections += 1
+            view = conn.view
+            client_leaf, server_leaf = view.client_leaf, view.server_leaf
+            client_dummy = _is_dummy_org(client_leaf.issuer_org)
+            server_dummy = _is_dummy_org(server_leaf.issuer_org)
+            if not (client_dummy or server_dummy):
+                continue
+            ssl = view.ssl
+            sni = ssl.server_name
+            parts = extract_domain(sni) if sni else None
+            if conn.direction == "inbound":
+                group = conn.association or "Unknown"
+            else:
+                group = parts.suffix if parts and parts.suffix else "(missing SNI)"
+            for side, leaf, dummy in (("client", client_leaf, client_dummy),
+                                      ("server", server_leaf, server_dummy)):
+                if not dummy:
+                    continue
+                key = (conn.direction, side, leaf.issuer_org or "")
+                row = rows.get(key)
+                if row is None:
+                    row = DummyIssuerRow(
+                        direction=conn.direction, side=side, issuer_org=key[2]
+                    )
+                    rows[key] = row
+                row.server_groups.add(group)
+                row.servers.add(ssl.id_resp_h)
+                row.clients.add(ssl.id_orig_h)
+                row.connections += 1
 
     def merge(self, other: "Table4Partial") -> None:
         for key, theirs in other.rows.items():
@@ -215,22 +225,34 @@ class SerialCollisionsPartial(protocol.AnalysisPartial):
         #: connections (matching CertProfile roles)
         self.roles: dict[str, list[bool]] = {}
 
-    def update(self, conn: EnrichedConn) -> None:
-        for index, leaf in ((0, conn.view.server_leaf), (1, conn.view.client_leaf)):
-            if leaf is None:
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        roles = self.roles
+        direction = self.direction
+        members, issuer_orgs = self.members, self.issuer_orgs
+        occurrences, clients = self.occurrences, self.clients
+        for conn in conns:
+            view = conn.view
+            server_leaf, client_leaf = view.server_leaf, view.client_leaf
+            if server_leaf is not None:
+                flags = roles.get(server_leaf.fingerprint)
+                if flags is None:
+                    roles[server_leaf.fingerprint] = [True, False]
+                else:
+                    flags[0] = True
+            if client_leaf is not None:
+                flags = roles.get(client_leaf.fingerprint)
+                if flags is None:
+                    roles[client_leaf.fingerprint] = [False, True]
+                else:
+                    flags[1] = True
+            if not conn.is_mutual or conn.direction != direction:
                 continue
-            flags = self.roles.setdefault(leaf.fingerprint, [False, False])
-            flags[index] = True
-        if not conn.is_mutual or conn.direction != self.direction:
-            return
-        for leaf in (conn.view.server_leaf, conn.view.client_leaf):
-            if leaf is None:
-                continue
-            key = (leaf.issuer, leaf.serial)
-            self.members.setdefault(key, set()).add(leaf.fingerprint)
-            self.issuer_orgs.setdefault(key, leaf.issuer_org)
-            self.occurrences[key] += 1
-            self.clients.setdefault(key, set()).add(conn.view.ssl.id_orig_h)
+            for leaf in (server_leaf, client_leaf):
+                key = (leaf.issuer, leaf.serial)
+                members.setdefault(key, set()).add(leaf.fingerprint)
+                issuer_orgs.setdefault(key, leaf.issuer_org)
+                occurrences[key] += 1
+                clients.setdefault(key, set()).add(view.ssl.id_orig_h)
 
     def merge(self, other: "SerialCollisionsPartial") -> None:
         for key, fps in other.members.items():
@@ -329,28 +351,32 @@ class WeakCryptoPartial(protocol.AnalysisPartial):
         #: all unique mutual connection tuples (§5 'Connection tuple')
         self.tuples: set[tuple[str, str, str, str]] = set()
 
-    def update(self, conn: EnrichedConn) -> None:
-        mutual = conn.is_mutual
-        for leaf in (conn.view.server_leaf, conn.view.client_leaf):
-            if leaf is None:
-                continue
-            if mutual:
-                self.mutual_fps.add(leaf.fingerprint)
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        mutual_fps, tuples = self.mutual_fps, self.tuples
+        # Candidacy is a property of the certificate: test each distinct
+        # leaf of the batch once.
+        leaves = {}
+        for conn in conns:
+            view = conn.view
+            server_leaf, client_leaf = view.server_leaf, view.client_leaf
+            if server_leaf is not None:
+                leaves[server_leaf.fingerprint] = server_leaf
+            if client_leaf is not None:
+                leaves[client_leaf.fingerprint] = client_leaf
+            if conn.is_mutual:
+                mutual_fps.add(server_leaf.fingerprint)
+                mutual_fps.add(client_leaf.fingerprint)
+                tuples.add((
+                    view.ssl.id_orig_h, client_leaf.fingerprint,
+                    view.ssl.id_resp_h, server_leaf.fingerprint,
+                ))
+        for fingerprint, leaf in leaves.items():
             if not _is_dummy_org(leaf.issuer_org):
                 continue
             if leaf.version == 1:
-                self.v1_candidates.add(leaf.fingerprint)
+                self.v1_candidates.add(fingerprint)
             if 0 < leaf.key_length <= self.weak_bits:
-                self.weak_candidates.add(leaf.fingerprint)
-        if mutual:
-            self.tuples.add(
-                (
-                    conn.view.ssl.id_orig_h,
-                    conn.view.client_leaf.fingerprint,
-                    conn.view.ssl.id_resp_h,
-                    conn.view.server_leaf.fingerprint,
-                )
-            )
+                self.weak_candidates.add(fingerprint)
 
     def merge(self, other: "WeakCryptoPartial") -> None:
         self.v1_candidates |= other.v1_candidates

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core import protocol
 from repro.core.enrich import EnrichedConn, EnrichedDataset
@@ -182,20 +183,26 @@ class Table3Partial(protocol.AnalysisPartial):
         self.all_clients: set[str] = set()
         self.total_conns = 0
 
-    def update(self, conn: EnrichedConn) -> None:
-        if not conn.is_mutual or conn.direction != "inbound":
-            return
-        association = conn.association or "Unknown"
-        self.total_conns += 1
-        self.conns_by_assoc[association] += 1
-        client_ip = conn.view.ssl.id_orig_h
-        self.clients_by_assoc[association].add(client_ip)
-        self.all_clients.add(client_ip)
-        leaf = conn.view.client_leaf
-        if leaf is not None:
-            category = categorize_issuer(leaf, self._bundle)
-            by_category = self.issuer_clients.setdefault(association, {})
-            by_category.setdefault(category, set()).add(client_ip)
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        bundle = self._bundle
+        conns_by_assoc = self.conns_by_assoc
+        clients_by_assoc = self.clients_by_assoc
+        issuer_clients = self.issuer_clients
+        all_clients = self.all_clients
+        for conn in conns:
+            if not conn.is_mutual or conn.direction != "inbound":
+                continue
+            association = conn.association or "Unknown"
+            self.total_conns += 1
+            conns_by_assoc[association] += 1
+            client_ip = conn.view.ssl.id_orig_h
+            clients_by_assoc[association].add(client_ip)
+            all_clients.add(client_ip)
+            leaf = conn.view.client_leaf
+            if leaf is not None:
+                category = categorize_issuer(leaf, bundle)
+                by_category = issuer_clients.setdefault(association, {})
+                by_category.setdefault(category, set()).add(client_ip)
 
     def merge(self, other: "Table3Partial") -> None:
         self.total_conns += other.total_conns
@@ -321,29 +328,35 @@ class Figure2Partial(protocol.AnalysisPartial):
         self.public_server_missing_client = 0
         self.same_entity_connections = 0
 
-    def update(self, conn: EnrichedConn) -> None:
-        if not conn.is_mutual or conn.direction != "outbound":
-            return
-        self.total_connections += 1
-        server_kind = "Public" if conn.server_public else "Private"
-        sni = conn.view.sni
-        parts = extract_domain(sni) if sni else None
-        tld = parts.suffix if parts and parts.suffix else "(missing SNI)"
-        sld = parts.registrable if parts and parts.registrable else None
-        if sld:
-            self.sld_connections[sld] += 1
-        category = (
-            categorize_issuer(conn.view.client_leaf, self._bundle)
-            if conn.view.client_leaf is not None else "Private - MissingIssuer"
-        )
-        self.client_categories[category] += 1
-        self.flows[(server_kind, tld, category)] += 1
-        if server_kind == "Public" and category == "Private - MissingIssuer":
-            self.public_server_missing_client += 1
-        if sld and conn.view.client_leaf is not None:
-            issuer_org = conn.view.client_leaf.issuer_org
-            if issuer_org and org_matches_domain(issuer_org, sld):
-                self.same_entity_connections += 1
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        bundle = self._bundle
+        flows = self.flows
+        sld_connections = self.sld_connections
+        client_categories = self.client_categories
+        for conn in conns:
+            if not conn.is_mutual or conn.direction != "outbound":
+                continue
+            self.total_connections += 1
+            server_kind = "Public" if conn.server_public else "Private"
+            sni = conn.view.ssl.server_name
+            parts = extract_domain(sni) if sni else None
+            tld = parts.suffix if parts and parts.suffix else "(missing SNI)"
+            sld = parts.registrable if parts and parts.registrable else None
+            if sld:
+                sld_connections[sld] += 1
+            client_leaf = conn.view.client_leaf
+            category = (
+                categorize_issuer(client_leaf, bundle)
+                if client_leaf is not None else "Private - MissingIssuer"
+            )
+            client_categories[category] += 1
+            flows[(server_kind, tld, category)] += 1
+            if server_kind == "Public" and category == "Private - MissingIssuer":
+                self.public_server_missing_client += 1
+            if sld and client_leaf is not None:
+                issuer_org = client_leaf.issuer_org
+                if issuer_org and org_matches_domain(issuer_org, sld):
+                    self.same_entity_connections += 1
 
     def merge(self, other: "Figure2Partial") -> None:
         self.flows.update(other.flows)

@@ -373,10 +373,10 @@ def _pipelined_analysis(
     the stream was out of ts order — the shard is then cached in its
     rebuilt (sorted) form and the caller reruns the serial body over it.
 
-    Per-batch ``update_partials`` calls interleave ``update`` and
-    ``update_raw``; that is safe because no registered analysis consumes
-    both streams (pinned by tests/core/test_pipeline.py): each partial
-    sees its own stream in exactly the serial order. Deliberately emits
+    Per-batch ``update_partials`` calls interleave the two streams; that
+    is safe because no registered analysis consumes both (pinned by
+    tests/core/test_pipeline.py): each partial sees its own stream in
+    exactly the serial order. Deliberately emits
     no ``pipeline.*`` counters: phase B only streams on a cache miss,
     which depends on worker placement, and analyze counters must stay
     deterministic across job counts.

@@ -10,7 +10,10 @@ through the analysis registry (:mod:`repro.core.protocol`) as
 
 from __future__ import annotations
 
+import datetime as _dt
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.core import protocol
 from repro.core.enrich import EnrichedConn, EnrichedDataset
@@ -40,10 +43,20 @@ class MonthlyShareState:
         self.total: dict[str, int] = {}
         self.mutual: dict[str, int] = {}
 
-    def observe(self, label: str, mutual: bool) -> None:
-        self.total[label] = self.total.get(label, 0) + 1
+    def add(self, label: str, connections: int, mutual: int) -> None:
+        """Count ``connections`` more connections in month ``label``,
+        ``mutual`` of them mutual."""
+        if connections:
+            self.total[label] = self.total.get(label, 0) + connections
         if mutual:
-            self.mutual[label] = self.mutual.get(label, 0) + 1
+            self.mutual[label] = self.mutual.get(label, 0) + mutual
+
+    def observe_batch(self, events: Iterable[tuple[_dt.datetime, bool]]) -> None:
+        """Count connections given as ``(ts, mutual)`` pairs; each
+        distinct month is labelled once per batch."""
+        counts = Counter((ts.year, ts.month, mutual) for ts, mutual in events)
+        for (year, month, mutual), count in counts.items():
+            self.add(month_key(_dt.date(year, month, 1)), count, count if mutual else 0)
 
     def merge(self, other: "MonthlyShareState") -> None:
         for label, count in other.total.items():
@@ -95,6 +108,11 @@ _CERT_STAT_LABELS = (
 )
 
 
+#: The role of a certificate use: its flag's index in
+#: :class:`CertUsageState`'s quadruplet.
+SERVER, CLIENT = 1, 2
+
+
 class CertUsageState:
     """Mergeable per-certificate usage flags (Table 1).
 
@@ -111,19 +129,19 @@ class CertUsageState:
         if fingerprint not in self._certs:
             self._certs[fingerprint] = [int(public), 0, 0, 0]
 
-    def observe(
-        self, fingerprint: str, public: bool, role: str, mutual: bool
+    def observe_batch(
+        self, uses: Iterable[tuple[str, bool | None, int, bool]]
     ) -> None:
-        flags = self._certs.get(fingerprint)
-        if flags is None:
-            flags = [int(public), 0, 0, 0]
-            self._certs[fingerprint] = flags
-        if role == "server":
-            flags[1] = 1
-        else:
-            flags[2] = 1
-        if mutual:
-            flags[3] = 1
+        """Fold certificate uses in, given as ``(fingerprint, public,
+        role, mutual)`` with role :data:`SERVER` or :data:`CLIENT`."""
+        certs = self._certs
+        for fingerprint, public, role, mutual in uses:
+            flags = certs.get(fingerprint)
+            if flags is None:
+                flags = certs[fingerprint] = [int(public), 0, 0, 0]
+            flags[role] = 1
+            if mutual:
+                flags[3] = 1
 
     def merge(self, other: "CertUsageState") -> None:
         for fingerprint, theirs in other._certs.items():
@@ -192,8 +210,8 @@ class Figure1Partial(protocol.AnalysisPartial):
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.state = MonthlyShareState()
 
-    def update(self, conn: EnrichedConn) -> None:
-        self.state.observe(month_key(conn.view.ts), conn.is_mutual)
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        self.state.observe_batch((conn.view.ssl.ts, conn.is_mutual) for conn in conns)
 
     def merge(self, other: "Figure1Partial") -> None:
         self.state.merge(other.state)
@@ -216,18 +234,22 @@ class Table1Partial(protocol.AnalysisPartial):
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.state = CertUsageState()
 
-    def update(self, conn: EnrichedConn) -> None:
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
         # The enricher labelled each leaf with the public-CA predicate.
-        mutual = conn.is_mutual
-        view = conn.view
-        if view.server_leaf is not None:
-            self.state.observe(
-                view.server_leaf.fingerprint, conn.server_public, "server", mutual
-            )
-        if view.client_leaf is not None:
-            self.state.observe(
-                view.client_leaf.fingerprint, conn.client_public, "client", mutual
-            )
+        uses = []
+        for conn in conns:
+            view = conn.view
+            if view.server_leaf is not None:
+                uses.append((
+                    view.server_leaf.fingerprint, conn.server_public, SERVER,
+                    conn.is_mutual,
+                ))
+            if view.client_leaf is not None:
+                uses.append((
+                    view.client_leaf.fingerprint, conn.client_public, CLIENT,
+                    conn.is_mutual,
+                ))
+        self.state.observe_batch(uses)
 
     def merge(self, other: "Table1Partial") -> None:
         self.state.merge(other.state)

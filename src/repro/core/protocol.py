@@ -5,10 +5,12 @@ logs. This module defines the uniform contract that lets one driver —
 sequential or sharded — run *every* analysis:
 
 - :class:`AnalysisPartial` — a picklable partial aggregate with
-  ``update(conn)`` (one enriched connection at a time), ``merge(other)``
+  ``update_batch(conns)`` (fold a batch of enriched connections, in
+  order; the one place an analysis folds connections), ``merge(other)``
   (combine two partials; associative and order-insensitive),
   ``result()`` (the module's rich result object) and ``finalize()``
-  (the rendered :class:`~repro.core.report.Table`).
+  (the rendered :class:`~repro.core.report.Table`). ``update(conn)``
+  folds one connection as a batch of one.
 - :class:`Analysis` — a registry entry binding a stable name
   (``"table1"``, ``"figure5"``, ...) to a partial factory.
 - the **registry** — ``register()`` / ``get_analysis()`` /
@@ -17,18 +19,20 @@ sequential or sharded — run *every* analysis:
 - **drivers** — :func:`run_analyses` (one pass over a whole dataset
   updating every requested partial; ``run_analyses(enriched,
   [name])[name].result()`` computes one analysis),
-  :func:`update_partials` (fold a connection stream into a partial
-  set) and :func:`merge_partials` (fold one set into another).
+  :func:`update_partials` (fold a batch of connections into a partial
+  set: one ``update_batch`` call per partial) and
+  :func:`merge_partials` (fold one set into another).
 - :class:`PopulationPartial` — the analyses that select from the
   certificate-profile population at finalize. A set built by
   :func:`create_partials` shares one :class:`ProfileStore` among them;
-  :func:`update_partials` observes it once per connection and
+  :func:`update_partials` observes it once per batch and
   :func:`merge_partials` merges it once. A partial built standalone by
   its factory keeps a private store.
 
-Partials must be deterministic independent of update/merge order: any
-shard split of the same connection stream, merged in any order, must
-finalize to byte-identical tables. That is what makes the
+Partials must be deterministic independent of update/merge order and of
+batching: any shard split of the same connection stream, fed in any
+batches and merged in any order, must finalize to byte-identical
+tables. That is what makes the
 :class:`~repro.core.parallel.ShardExecutor` provably equivalent to the
 sequential path.
 """
@@ -36,7 +40,7 @@ sequential path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.dataset import ProfileStore
 from repro.core.enrich import AssociationRules, InterceptionReport
@@ -74,18 +78,27 @@ class AnalysisContext:
 class AnalysisPartial:
     """Base class for partial aggregates.
 
-    Subclasses override :meth:`update` (and :meth:`update_raw` when they
-    consume the *unfiltered* dataset, like the TLS 1.3 blind spot),
-    :meth:`merge`, :meth:`result` and :meth:`finalize`. The base
-    methods are deliberate no-ops so context-only analyses (e.g. the
-    interception summary) stay trivial.
+    Subclasses override :meth:`update_batch` (or, when they consume the
+    *unfiltered* dataset like the TLS 1.3 blind spot, :meth:`update_raw_batch`
+    and ``needs_raw`` — never both), :meth:`merge`, :meth:`result` and
+    :meth:`finalize`. The batch methods are deliberate no-ops so
+    context-only analyses (e.g. the interception summary) stay trivial.
     """
 
+    def update_batch(self, conns: Sequence["EnrichedConn"]) -> None:
+        """Fold a batch of enriched (post-filter) connections in, in order."""
+
+    def update_raw_batch(self, views: Sequence["ConnView"]) -> None:
+        """Fold a batch of raw (pre-interception-filter) connection views
+        in, in order."""
+
     def update(self, conn: "EnrichedConn") -> None:
-        """Fold one enriched (post-filter) connection into the state."""
+        """Fold one enriched connection in (a batch of one)."""
+        self.update_batch((conn,))
 
     def update_raw(self, view: "ConnView") -> None:
-        """Fold one raw (pre-interception-filter) connection view in."""
+        """Fold one raw connection view in (a batch of one)."""
+        self.update_raw_batch((view,))
 
     def merge(self, other: "AnalysisPartial") -> None:
         """Fold another partial of the same type into this one."""
@@ -114,8 +127,8 @@ class PopulationPartial(AnalysisPartial):
         self._bundle = context.bundle
         self.store = ProfileStore()
 
-    def update(self, conn: "EnrichedConn") -> None:
-        self.store.observe(conn.view)
+    def update_batch(self, conns: Sequence["EnrichedConn"]) -> None:
+        self.store.observe_batch([conn.view for conn in conns])
 
     def merge(self, other: "PopulationPartial") -> None:
         self.store.merge(other.store)
@@ -134,7 +147,7 @@ class Analysis:
     title: str
     factory: Callable[[AnalysisContext], AnalysisPartial]
     #: True when the partial consumes the unfiltered dataset via
-    #: ``update_raw`` (in addition to — or instead of — ``update``).
+    #: ``update_raw_batch`` (instead of ``update_batch``).
     needs_raw: bool = False
 
 
@@ -230,23 +243,18 @@ def _store_repeats(partials: Mapping[str, AnalysisPartial]) -> set[str]:
 
 def update_partials(
     partials: Mapping[str, AnalysisPartial],
-    connections: Iterable["EnrichedConn"],
-    raw_views: Iterable["ConnView"] = (),
+    connections: Sequence["EnrichedConn"],
+    raw_views: Sequence["ConnView"] = (),
 ) -> None:
-    """One pass over the streams, updating every partial (a shared
-    profile store once per connection)."""
+    """Fold one batch of the streams into every partial: one
+    ``update_batch`` call per partial (per shared profile store), and one
+    ``update_raw_batch`` call per partial that consumes raw views."""
     repeats = _store_repeats(partials)
-    updaters = [p for name, p in partials.items() if name not in repeats]
-    for conn in connections:
-        for partial in updaters:
-            partial.update(conn)
-    raw_updaters = [
-        partials[name] for name in partials if get_analysis(name).needs_raw
-    ]
-    if raw_updaters:
-        for view in raw_views:
-            for partial in raw_updaters:
-                partial.update_raw(view)
+    for name, partial in partials.items():
+        if name not in repeats:
+            partial.update_batch(connections)
+        if get_analysis(name).needs_raw:
+            partial.update_raw_batch(raw_views)
 
 
 def run_analyses(

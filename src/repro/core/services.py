@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core import protocol
 from repro.core.enrich import EnrichedConn
@@ -76,9 +77,15 @@ class Table2Partial(protocol.AnalysisPartial):
             quadrant: Counter() for quadrant in _QUADRANTS
         }
 
-    def update(self, conn: EnrichedConn) -> None:
-        key = (conn.direction, conn.is_mutual)
-        self.counters[key][self._registry.group_key(conn.view.ssl.id_resp_p)] += 1
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        # One port-group lookup per distinct (quadrant, port) of the batch.
+        ports = Counter(
+            (conn.direction, conn.is_mutual, conn.view.ssl.id_resp_p)
+            for conn in conns
+        )
+        group_key = self._registry.group_key
+        for (direction, mutual, port), count in ports.items():
+            self.counters[(direction, mutual)][group_key(port)] += count
 
     def merge(self, other: "Table2Partial") -> None:
         for quadrant, counter in other.counters.items():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import math
 
@@ -46,35 +47,39 @@ class Table5Partial(protocol.AnalysisPartial):
         #: row key → (ts, uid, server_public) of the earliest witness
         self.witness: dict[tuple[str, str, str], tuple] = {}
 
-    def update(self, conn: EnrichedConn) -> None:
-        if not conn.is_mutual:
-            return
-        server_leaf, client_leaf = conn.view.server_leaf, conn.view.client_leaf
-        if server_leaf.fingerprint != client_leaf.fingerprint:
-            return
-        sni = conn.view.sni
-        sld = extract_domain(sni).registrable if sni else "(missing SNI)"
-        issuer_org = server_leaf.issuer_org or "(missing issuer)"
-        key = (conn.direction, sld, issuer_org)
-        row = self.rows.get(key)
-        if row is None:
-            row = SameConnectionSharingRow(
-                direction=conn.direction, sld=sld, issuer_org=issuer_org,
-                issuer_public=bool(conn.server_public),
-            )
-            self.rows[key] = row
-        mark = (conn.view.ts, conn.view.ssl.uid, bool(conn.server_public))
-        if key not in self.witness or mark < self.witness[key]:
-            self.witness[key] = mark
-            row.issuer_public = mark[2]
-        row.clients.add(conn.view.ssl.id_orig_h)
-        row.fingerprints.add(server_leaf.fingerprint)
-        row.connections += 1
-        ts = conn.view.ts
-        if row.first_seen is None or ts < row.first_seen:
-            row.first_seen = ts
-        if row.last_seen is None or ts > row.last_seen:
-            row.last_seen = ts
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        rows, witness = self.rows, self.witness
+        for conn in conns:
+            if not conn.is_mutual:
+                continue
+            view = conn.view
+            server_leaf = view.server_leaf
+            if server_leaf.fingerprint != view.client_leaf.fingerprint:
+                continue
+            ssl = view.ssl
+            sni = ssl.server_name
+            sld = extract_domain(sni).registrable if sni else "(missing SNI)"
+            issuer_org = server_leaf.issuer_org or "(missing issuer)"
+            key = (conn.direction, sld, issuer_org)
+            row = rows.get(key)
+            if row is None:
+                row = SameConnectionSharingRow(
+                    direction=conn.direction, sld=sld, issuer_org=issuer_org,
+                    issuer_public=bool(conn.server_public),
+                )
+                rows[key] = row
+            ts = ssl.ts
+            mark = (ts, ssl.uid, bool(conn.server_public))
+            if key not in witness or mark < witness[key]:
+                witness[key] = mark
+                row.issuer_public = mark[2]
+            row.clients.add(ssl.id_orig_h)
+            row.fingerprints.add(server_leaf.fingerprint)
+            row.connections += 1
+            if row.first_seen is None or ts < row.first_seen:
+                row.first_seen = ts
+            if row.last_seen is None or ts > row.last_seen:
+                row.last_seen = ts
 
     def merge(self, other: "Table5Partial") -> None:
         for key, theirs in other.rows.items():

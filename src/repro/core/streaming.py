@@ -31,6 +31,8 @@ from repro.core.dataset import remember_fuid
 from repro.core.durable import durable_write_json, load_checkpoint_json
 from repro.core.enrich import new_fact_cache
 from repro.core.prevalence import (
+    CLIENT,
+    SERVER,
     CertStatsRow,
     CertUsageState,
     MonthlyShare,
@@ -39,7 +41,6 @@ from repro.core.prevalence import (
 from repro.core.tuples import Tls13Blindspot, Tls13State
 from repro.trust import TrustBundle
 from repro.zeek import FastPath, SslRecord, X509Record
-from repro.zeek.files import month_key
 from repro.zeek.ingest import IngestOptions
 
 #: Snapshot schema tag; bump on incompatible layout changes.
@@ -116,17 +117,19 @@ class StreamingAnalyzer:
 
     def add_ssl(self, records: Iterable[SslRecord]) -> None:
         fed = 0
+        established = []
         for record in records:
             fed += 1
-            if not record.established:
+            if record.established:
+                established.append(record)
+            else:
                 self.dropped_unestablished += 1
-                continue
-            self.connections_seen += 1
-            mutual = record.is_mutual
-            self._monthly.observe(month_key(record.ts), mutual)
-            self._tls13.observe(record)
-            self._observe_leaf(record.server_leaf_fuid, "server", mutual)
-            self._observe_leaf(record.client_leaf_fuid, "client", mutual)
+        self.connections_seen += len(established)
+        self._monthly.observe_batch(
+            (record.ts, record.is_mutual) for record in established
+        )
+        self._tls13.observe_batch(established)
+        self._usage.observe_batch(self._leaf_uses(established))
         self.metrics.inc("streaming.ssl_records", fed)
 
     def add_month(
@@ -136,16 +139,27 @@ class StreamingAnalyzer:
         self.add_x509(x509)
         self.add_ssl(ssl)
 
-    def _observe_leaf(self, fuid: str | None, role: str, mutual: bool) -> None:
-        if fuid is None:
-            return
-        fingerprint = self._fuid_to_fp.get(fuid)
-        if fingerprint is None:
-            self.dropped_dangling_fuid += 1
-            return
-        # The fingerprint was ensured (with its public flag) in add_x509;
-        # the flag here only matters for never-before-seen certificates.
-        self._usage.observe(fingerprint, False, role, mutual)
+    def _leaf_uses(self, records: list[SslRecord]) -> list[tuple]:
+        """The certificate uses of established records, counting leaf
+        fuids the map does not hold as dangling."""
+        uses = []
+        for record in records:
+            mutual = record.is_mutual
+            for fuid, role in (
+                (record.server_leaf_fuid, SERVER),
+                (record.client_leaf_fuid, CLIENT),
+            ):
+                if fuid is None:
+                    continue
+                fingerprint = self._fuid_to_fp.get(fuid)
+                if fingerprint is None:
+                    self.dropped_dangling_fuid += 1
+                    continue
+                # The fingerprint was ensured (with its public flag) in
+                # add_x509; the flag here only matters for never-before-
+                # seen certificates.
+                uses.append((fingerprint, False, role, mutual))
+        return uses
 
     # Checkpointing -------------------------------------------------------------
 

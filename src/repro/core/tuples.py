@@ -11,9 +11,10 @@ encrypted (40.86% of connections, touching 25.35% of server IPs and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core import protocol
-from repro.core.dataset import MtlsDataset
+from repro.core.dataset import ConnView, MtlsDataset
 from repro.core.enrich import EnrichedDataset
 from repro.core.report import Table, percentage
 
@@ -89,8 +90,7 @@ def tls13_blindspot(dataset: MtlsDataset) -> Tls13Blindspot:
     blind spot is a property of the capture, not of the filtered view.
     """
     state = Tls13State()
-    for conn in dataset.connections:
-        state.observe(conn.ssl)
+    state.observe_batch([conn.ssl for conn in dataset.connections])
     return state.result()
 
 
@@ -137,15 +137,15 @@ class Tls13State:
         self.tls13_server_ips: set[str] = set()
         self.tls13_client_ips: set[str] = set()
 
-    def observe(self, ssl) -> None:
-        """Fold one *established* SSL record in."""
-        self.total_connections += 1
-        self.server_ips.add(ssl.id_resp_h)
-        self.client_ips.add(ssl.id_orig_h)
-        if ssl.version == "TLSv13":
-            self.tls13_connections += 1
-            self.tls13_server_ips.add(ssl.id_resp_h)
-            self.tls13_client_ips.add(ssl.id_orig_h)
+    def observe_batch(self, records: Sequence) -> None:
+        """Fold a batch of *established* SSL records in."""
+        tls13 = [ssl for ssl in records if ssl.version == "TLSv13"]
+        self.total_connections += len(records)
+        self.tls13_connections += len(tls13)
+        self.server_ips.update([ssl.id_resp_h for ssl in records])
+        self.client_ips.update([ssl.id_orig_h for ssl in records])
+        self.tls13_server_ips.update([ssl.id_resp_h for ssl in tls13])
+        self.tls13_client_ips.update([ssl.id_orig_h for ssl in tls13])
 
     def merge(self, other: "Tls13State") -> None:
         self.total_connections += other.total_connections
@@ -193,8 +193,8 @@ class Tls13Partial(protocol.AnalysisPartial):
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.state = Tls13State()
 
-    def update_raw(self, view) -> None:
-        self.state.observe(view.ssl)
+    def update_raw_batch(self, views: Sequence[ConnView]) -> None:
+        self.state.observe_batch([view.ssl for view in views])
 
     def merge(self, other: "Tls13Partial") -> None:
         self.state.merge(other.state)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core import protocol
 from repro.core.enrich import EnrichedConn, EnrichedDataset
@@ -64,32 +65,37 @@ class Figure3Partial(protocol.AnalysisPartial):
     def __init__(self, context: protocol.AnalysisContext) -> None:
         self.rows: dict[tuple[str, str], IncorrectDateRow] = {}
 
-    def update(self, conn: EnrichedConn) -> None:
-        if not conn.is_mutual:
-            return
-        sni = conn.view.sni
-        sld = extract_domain(sni).registrable if sni else "(missing SNI)"
-        for side, leaf in (("server", conn.view.server_leaf),
-                           ("client", conn.view.client_leaf)):
-            if leaf is None:
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        rows = self.rows
+        for conn in conns:
+            if not conn.is_mutual:
                 continue
-            if leaf.not_valid_before < leaf.not_valid_after:
+            view = conn.view
+            server_leaf, client_leaf = view.server_leaf, view.client_leaf
+            if (server_leaf.not_valid_before < server_leaf.not_valid_after
+                    and client_leaf.not_valid_before < client_leaf.not_valid_after):
                 continue
-            key = (leaf.issuer_org or "(missing)", side)
-            row = self.rows.get(key)
-            if row is None:
-                row = IncorrectDateRow(issuer_org=key[0], side=side)
-                self.rows[key] = row
-            row.slds.add(sld)
-            row.not_before_years.add(leaf.not_valid_before.year)
-            row.not_after_years.add(leaf.not_valid_after.year)
-            row.fingerprints.add(leaf.fingerprint)
-            row.clients.add(conn.view.ssl.id_orig_h)
-            ts = conn.view.ts
-            if row.first_seen is None or ts < row.first_seen:
-                row.first_seen = ts
-            if row.last_seen is None or ts > row.last_seen:
-                row.last_seen = ts
+            ssl = view.ssl
+            sni = ssl.server_name
+            sld = extract_domain(sni).registrable if sni else "(missing SNI)"
+            ts = ssl.ts
+            for side, leaf in (("server", server_leaf), ("client", client_leaf)):
+                if leaf.not_valid_before < leaf.not_valid_after:
+                    continue
+                key = (leaf.issuer_org or "(missing)", side)
+                row = rows.get(key)
+                if row is None:
+                    row = IncorrectDateRow(issuer_org=key[0], side=side)
+                    rows[key] = row
+                row.slds.add(sld)
+                row.not_before_years.add(leaf.not_valid_before.year)
+                row.not_after_years.add(leaf.not_valid_after.year)
+                row.fingerprints.add(leaf.fingerprint)
+                row.clients.add(ssl.id_orig_h)
+                if row.first_seen is None or ts < row.first_seen:
+                    row.first_seen = ts
+                if row.last_seen is None or ts > row.last_seen:
+                    row.last_seen = ts
 
     def merge(self, other: "Figure3Partial") -> None:
         for key, theirs in other.rows.items():
@@ -208,20 +214,24 @@ class Figure4Partial(protocol.AnalysisPartial):
         self.records: dict[str, X509Record] = {}
         self.slds: dict[str, set[str]] = {}
 
-    def update(self, conn: EnrichedConn) -> None:
-        if not conn.is_mutual:
-            return
-        if self.direction is not None and conn.direction != self.direction:
-            return
-        leaf = conn.view.client_leaf
-        if leaf is None or leaf.has_inverted_validity:
-            return
-        self.records.setdefault(leaf.fingerprint, leaf)
-        slds = self.slds.setdefault(leaf.fingerprint, set())
-        sni = conn.view.sni
-        sld = extract_domain(sni).registrable if sni else ""
-        if sld:
-            slds.add(sld)
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        direction = self.direction
+        records, slds_by_fp = self.records, self.slds
+        for conn in conns:
+            if not conn.is_mutual:
+                continue
+            if direction is not None and conn.direction != direction:
+                continue
+            view = conn.view
+            leaf = view.client_leaf
+            if leaf.has_inverted_validity:
+                continue
+            records.setdefault(leaf.fingerprint, leaf)
+            slds = slds_by_fp.setdefault(leaf.fingerprint, set())
+            sni = view.ssl.server_name
+            sld = extract_domain(sni).registrable if sni else ""
+            if sld:
+                slds.add(sld)
 
     def merge(self, other: "Figure4Partial") -> None:
         for fingerprint, record in other.records.items():
@@ -362,49 +372,51 @@ class Figure5Partial(protocol.AnalysisPartial):
         #: certificate appears in (either side) — the profile activity span.
         self.activity: dict[str, list] = {}
 
-    def update(self, conn: EnrichedConn) -> None:
-        ts = conn.view.ts
-        for leaf in (conn.view.server_leaf, conn.view.client_leaf):
-            if leaf is None:
+    def update_batch(self, conns: Sequence[EnrichedConn]) -> None:
+        activity, expired = self.activity, self.expired
+        for conn in conns:
+            view = conn.view
+            ssl = view.ssl
+            ts = ssl.ts
+            for leaf in (view.server_leaf, view.client_leaf):
+                if leaf is None:
+                    continue
+                span = activity.get(leaf.fingerprint)
+                if span is None:
+                    activity[leaf.fingerprint] = [ts, ts]
+                else:
+                    if ts < span[0]:
+                        span[0] = ts
+                    if ts > span[1]:
+                        span[1] = ts
+            if not conn.is_mutual:
                 continue
-            span = self.activity.get(leaf.fingerprint)
-            if span is None:
-                self.activity[leaf.fingerprint] = [ts, ts]
-            else:
-                if ts < span[0]:
-                    span[0] = ts
-                if ts > span[1]:
-                    span[1] = ts
-        if not conn.is_mutual:
-            return
-        leaf = conn.view.client_leaf
-        if leaf is None or leaf.has_inverted_validity:
-            return
-        if not leaf.expired_at(ts):
-            return
-        fp = leaf.fingerprint
-        mark = (ts, conn.view.ssl.uid)
-        state = self.expired.get(fp)
-        if state is None:
-            state = _ExpiredState(
-                issuer_org=leaf.issuer_org,
-                public=conn.client_public,
-                witness=mark,
-                direction=conn.direction,
-                days_expired=leaf.days_expired(ts),
-            )
-            self.expired[fp] = state
-        elif mark < state.witness:
-            state.witness = mark
-            state.direction = conn.direction
-            state.days_expired = leaf.days_expired(ts)
-        if conn.direction == "inbound" and conn.association:
-            state.associations.add(conn.association)
-        sni = conn.view.sni
-        if sni:
-            sld = extract_domain(sni).registrable
-            if sld:
-                state.slds.add(sld)
+            leaf = view.client_leaf
+            if leaf.has_inverted_validity or not leaf.expired_at(ts):
+                continue
+            fp = leaf.fingerprint
+            mark = (ts, ssl.uid)
+            state = expired.get(fp)
+            if state is None:
+                state = _ExpiredState(
+                    issuer_org=leaf.issuer_org,
+                    public=conn.client_public,
+                    witness=mark,
+                    direction=conn.direction,
+                    days_expired=leaf.days_expired(ts),
+                )
+                expired[fp] = state
+            elif mark < state.witness:
+                state.witness = mark
+                state.direction = conn.direction
+                state.days_expired = leaf.days_expired(ts)
+            if conn.direction == "inbound" and conn.association:
+                state.associations.add(conn.association)
+            sni = ssl.server_name
+            if sni:
+                sld = extract_domain(sni).registrable
+                if sld:
+                    state.slds.add(sld)
 
     def merge(self, other: "Figure5Partial") -> None:
         for fingerprint, span in other.activity.items():

@@ -73,20 +73,17 @@ class StoreQueryEngine:
             if len(distinct) == 1:
                 # Single-label shard (the normal rotation layout):
                 # everything is C-speed byte counting.
-                label = strings[month_idx[0]]
-                total = sum(flags.count(v) for v in _EST_VALUES)
-                mutual = sum(flags.count(v) for v in _MUTUAL_VALUES)
-                if total:
-                    state.total[label] = state.total.get(label, 0) + total
-                if mutual:
-                    state.mutual[label] = state.mutual.get(label, 0) + mutual
+                state.add(
+                    strings[month_idx[0]],
+                    sum(flags.count(v) for v in _EST_VALUES),
+                    sum(flags.count(v) for v in _MUTUAL_VALUES),
+                )
             else:
                 # Hand-rotated file carrying out-of-window rows: fall
                 # back to exact per-row attribution.
-                observe = state.observe
                 for value, idx in zip(flags, month_idx):
                     if value & FLAG_ESTABLISHED:
-                        observe(strings[idx], (value & _MUTUAL) == _MUTUAL)
+                        state.add(strings[idx], 1, int((value & _MUTUAL) == _MUTUAL))
         return state.rows()
 
     def tls13_blindspot(self) -> Tls13Blindspot:

@@ -19,8 +19,9 @@ work happens, never *what* comes out. Pinned here:
   duplicated and no lost rows;
 * a tiny `CertFactCache` forced to evict mid-batch still labels every
   connection identically to the uncached reference;
-* the structural invariant the per-batch update/update_raw interleaving
-  relies on: no registered analysis consumes both streams.
+* the structural invariant the per-batch update interleaving relies
+  on: no registered analysis consumes both streams, and each folds
+  connections only in its batch method.
 """
 
 import gzip
@@ -389,21 +390,23 @@ class TestBatchFeed:
 
 
 class TestInterleavingInvariant:
-    """`_pipelined_analysis` interleaves update() and update_raw() per
-    batch instead of per stream; that is only sound while no analysis
-    consumes both streams. Pin it structurally."""
+    """`update_partials` hands each partial one batch of one stream per
+    call, and `_pipelined_analysis` calls it per decoded batch; that is
+    only sound while no analysis consumes both streams and each folds
+    connections in its batch method alone. Pin it structurally, on the
+    class every factory builds."""
 
-    def test_no_analysis_defines_update_and_update_raw(self):
+    def test_no_analysis_defines_update_and_update_raw(self, small_result):
         base = protocol.AnalysisPartial
-        classes = 0
+        context = protocol.AnalysisContext.from_enriched(small_result.enriched)
+        classes = set()
         for analysis in protocol.iter_analyses():
-            factory = analysis.factory
-            if not (isinstance(factory, type) and issubclass(factory, base)):
-                continue
-            classes += 1
-            has_update = factory.update is not base.update
-            has_raw = factory.update_raw is not base.update_raw
-            assert not (has_update and has_raw), analysis.name
-            if has_raw:
-                assert analysis.needs_raw, analysis.name
-        assert classes >= 20  # the registry is actually class-backed
+            cls = type(analysis.factory(context))
+            classes.add(cls)
+            assert cls.update is base.update, analysis.name
+            assert cls.update_raw is base.update_raw, analysis.name
+            has_batch = cls.update_batch is not base.update_batch
+            has_raw = cls.update_raw_batch is not base.update_raw_batch
+            assert not (has_batch and has_raw), analysis.name
+            assert analysis.needs_raw == has_raw, analysis.name
+        assert len(classes) >= 20  # the registry is actually class-backed

@@ -98,8 +98,7 @@ def _population(partials):
 
 def _reference_store(connections):
     store = ProfileStore()
-    for conn in connections:
-        store.observe(conn.view)
+    store.observe_batch([conn.view for conn in connections])
     return profile_state(store)
 
 
@@ -117,6 +116,21 @@ def _draw_split(data, length):
     order = list(range(n_chunks))
     random.Random(seed).shuffle(order)
     return splits, order
+
+
+def _draw_cuts(data, length):
+    """Sorted cut points of a ``length``-long stream, always holding an
+    empty and a one-connection batch where the stream allows."""
+    cuts = data.draw(
+        st.lists(st.integers(min_value=0, max_value=length), max_size=6)
+    )
+    at = data.draw(st.integers(min_value=0, max_value=max(length - 1, 0)))
+    return sorted([*cuts, at, at, min(at + 1, length)])
+
+
+def _batches(items, cuts):
+    bounds = [0, *cuts, len(items)]
+    return [items[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 
 class TestRegistry:
@@ -280,3 +294,39 @@ class TestDriverPath:
         }
         population = _population(partials)
         assert len({id(p.store) for p in population}) == len(population) == 9
+
+
+class TestBatching:
+    """Batching is invisible: repeated ``update_partials`` calls over any
+    cuts of the streams finalize byte-identical to one call over the
+    whole streams and to the per-connection adapters."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_any_cuts_match_one_call_and_adapters(self, data, context, small_result):
+        connections = small_result.enriched.connections
+        raw = small_result.dataset.connections
+        conn_cuts = _draw_cuts(data, len(connections))
+        raw_cuts = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=len(raw)),
+                    min_size=len(conn_cuts), max_size=len(conn_cuts),
+                )
+            )
+        )
+        batched = protocol.create_partials(None, context)
+        for chunk, raw_chunk in zip(
+            _batches(connections, conn_cuts), _batches(raw, raw_cuts), strict=True
+        ):
+            protocol.update_partials(batched, chunk, raw_chunk)
+        one_call = _driver_set(context, connections, raw)
+        adapters = _standalone_set(context, connections, raw)
+        assert sorted(batched) == sorted(protocol.analysis_names())
+        for name, partial in batched.items():
+            rendered = _finalized(partial)
+            assert rendered == _finalized(one_call[name]), name
+            assert rendered == _finalized(adapters[name]), name
+        assert profile_state(_population(batched)[0].store) == _reference_store(
+            connections
+        )

@@ -70,7 +70,7 @@ class TestWeakCrypto:
         # The generator plants v1 certs under 'Internet Widgits Pty Ltd'
         # and 1024-bit keys under 'Unspecified' probabilistically; at
         # medium scale at least one class shows up.
-        assert len(report.v1_fingerprints) + len(report.weak_key_fingerprints) >= 0
+        assert len(report.v1_fingerprints) + len(report.weak_key_fingerprints) >= 1
         # Tuple counts only exist where certs exist.
         if not report.v1_fingerprints:
             assert report.v1_tuples == 0
